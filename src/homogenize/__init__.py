@@ -7,9 +7,8 @@ from .environment import (BondField, DisorderLaw, TorusGeometry,
                           shift)
 from .operators import apply_generator, div_star, grad, local_drift, mean_rho
 from .solver import SolveReport, dense_solve, solve_poisson, solve_resolvent
-from .diffusivity import (EffectiveMatrix, corrector, corrector_gradient,
-                          effective_matrix, effective_quadratic,
-                          identity_residuals, one_d_exact)
+from .diffusivity import (EffectiveMatrix, corrector, effective_matrix,
+                          effective_quadratic, identity_residuals, one_d_exact)
 from .spectral import (SpectralMeasure, diffusivity_via_spectrum,
                        semigroup_moment, semigroup_moment_mc, spectral_measure)
 from .walker import WalkConfig, annealed_msd, msd_estimate, simulate_walk

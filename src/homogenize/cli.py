@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -35,7 +34,6 @@ EXIT_SOLVER = 3
 EXIT_GUARD = 4
 
 _NUM = {"type": "number"}
-_INT = {"type": "integer"}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -66,16 +64,15 @@ CONFIG_SCHEMA = {
         "solver": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"tol": _NUM, "max_iterations": _INT,
-                           "jacobi": {"type": "boolean"}},
+            "properties": {"tol": _NUM},
         },
         "output_dir": {"type": "string"},
-        "threads": {"type": "integer", "minimum": 1},
         "campaign": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "N_list": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                "N_list": {"type": "array", "minItems": 1,
+                           "items": {"type": "integer", "minimum": 1}},
                 "replicas": {"type": "integer", "minimum": 2},
                 "epsilons": {"type": "array", "items": _NUM},
             },
@@ -83,19 +80,21 @@ CONFIG_SCHEMA = {
         "walk": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"t": _NUM, "walkers": {"type": "integer", "minimum": 1},
+            "properties": {"t": {"type": "number", "exclusiveMinimum": 0},
+                           "walkers": {"type": "integer", "minimum": 1},
                            "start": {"enum": ["origin", "uniform"]}},
         },
         "spectral": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"n": _NUM, "walkers": {"type": "integer", "minimum": 1}},
+            "properties": {"n": {"type": "number", "minimum": 0},
+                           "walkers": {"type": "integer", "minimum": 1}},
         },
         "hamming": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "perturb_counts": {"type": "array",
+                "perturb_counts": {"type": "array", "minItems": 1,
                                    "items": {"type": "integer", "minimum": 0}},
                 "trials": {"type": "integer", "minimum": 1},
             },
@@ -156,25 +155,22 @@ def load_config(path: str, overrides=()) -> dict:
     try:
         jsonschema.validate(config, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config violates schema: {exc.message}") from exc
+        raise ConfigError(
+            f"config violates schema at {exc.json_path}: {exc.message}") from exc
     return config
 
 
-def _threads(config: dict) -> int:
-    if "threads" in config:
-        return config["threads"]
-    env = os.environ.get("HOMOGENIZE_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"HOMOGENIZE_THREADS={env!r} is not an integer") from exc
-    return 1
+def _from_config(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs) on config values; its ValueError is a config error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _common(config: dict):
-    geom = TorusGeometry(**config["geometry"])
-    law = DisorderLaw.from_json(config["law"])
+    geom = _from_config("geometry", TorusGeometry, **config["geometry"])
+    law = _from_config("law", DisorderLaw.from_json, config["law"])
     tol = config.get("solver", {}).get("tol", 1e-10)
     vector = config.get("vector")
     v = np.asarray(vector, dtype=float) if vector is not None \
@@ -196,11 +192,11 @@ def _write_json(path: Path, payload: dict):
 
 def _campaign_config(config: dict, geom, law, tol) -> CampaignConfig:
     camp = config.get("campaign", {})
-    return CampaignConfig(
-        law=law, dimension=geom.dimension,
+    return _from_config(
+        "campaign", CampaignConfig, law=law, dimension=geom.dimension,
         N_list=tuple(camp.get("N_list", [geom.half_period])),
         replicas=camp.get("replicas", 50), tol=tol,
-        master_seed=config["seed"], threads=_threads(config))
+        master_seed=config["seed"])
 
 
 def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
@@ -234,11 +230,14 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
         written += [csv_path, json_path]
 
     elif subcommand == "hamming":
-        fld = sample_environment(law, geom, seed)
         ham = config.get("hamming", {})
-        result = hamming_sensitivity(
-            fld, ham.get("perturb_counts", [1, 4, 16]),
-            ham.get("trials", 20), tol=tol, law=law, seed=seed)
+        counts = ham.get("perturb_counts", [1, 4, 16])
+        if max(counts) > geom.bond_count:
+            raise ConfigError(f"hamming: cannot perturb {max(counts)} of the "
+                              f"{geom.bond_count} bonds")
+        fld = sample_environment(law, geom, seed)
+        result = hamming_sensitivity(fld, counts, ham.get("trials", 20),
+                                     tol=tol, law=law, seed=seed)
         path = outdir / f"hamming_{tag}.json"
         _write_json(path, _artifact(config, {
             "pairs": [[f, d] for f, d in result["pairs"]],
@@ -267,12 +266,13 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
             "spectral_measure": meas.to_json(),
             "total_mass": meas.total_mass,
             "max_eigenvalue": meas.max_eigenvalue,
-            "diffusivity_via_spectrum": diffusivity_via_spectrum(fld, v),
+            "diffusivity_via_spectrum": diffusivity_via_spectrum(fld, v,
+                                                                 measure=meas),
         }
         n = spec.get("n")
         if n is not None:
-            payload["semigroup_moment"] = {"n": n,
-                                           "value": semigroup_moment(fld, v, n)}
+            payload["semigroup_moment"] = {
+                "n": n, "value": semigroup_moment(fld, v, n, measure=meas)}
             walkers = spec.get("walkers")
             if walkers:
                 est, se = semigroup_moment_mc(fld, v, n, walkers, seed=seed)
@@ -342,8 +342,6 @@ def main(argv=None) -> int:
                     f"{exc} (residual {exc.residual:.3e})")
     except SizeGuardError as exc:
         return fail(EXIT_GUARD, "guard", str(exc))
-    except ValueError as exc:
-        return fail(EXIT_CONFIG, "config", str(exc))
     for path in written:
         print(str(path))
     return 0

@@ -90,11 +90,6 @@ def corrector(fld: BondField, v, tol: float = DEFAULT_TOL) -> SolveReport:
     return solve_poisson(fld, local_drift(fld, v), tol=tol)
 
 
-def corrector_gradient(chi: np.ndarray) -> np.ndarray:
-    """psi = grad chi; every component has zero site-mean by telescoping."""
-    return grad(chi)
-
-
 def identity_residuals(fld: BondField, v, chi: np.ndarray) -> IdentityDiagnostics:
     """Evaluate every finite-volume identity on a solved corrector."""
     v = np.asarray(v, dtype=float)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,10 @@ class DisorderLaw:
     probs: tuple = field(default=())
 
     def __post_init__(self):
+        arity = {"constant": 1, "uniform": 2, "two_point": 3}.get(self.kind)
+        if arity is not None and len(self.params) != arity:
+            raise ValueError(f"{self.kind} law takes {arity} params, "
+                             f"got {len(self.params)}")
         if self.kind == "constant":
             (a,) = self.params
             if a <= 0:
@@ -183,6 +188,11 @@ class DisorderLaw:
         return cls(d["kind"], tuple(d["params"]), tuple(d.get("probs", ())))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class BondField:
     """One environment realization: a conductance per (site, direction).
@@ -190,7 +200,7 @@ class BondField:
     Rates are stored direction-major as an array of shape (d, 2N, ..., 2N);
     component i holds xi_i(x), the rate of the bond (x, x + e_i).  External
     (JSON) order is site-major with direction fastest.  Instances are
-    immutable and safe to share across threads.
+    immutable; the stencil is built on first use and cached.
     """
 
     geometry: TorusGeometry
@@ -210,8 +220,7 @@ class BondField:
         if r.min() < 1.0 / c - 1e-12 or r.max() > c + 1e-12:
             raise SupportError(
                 f"rates in [{r.min()}, {r.max()}] escape the window [1/{c}, {c}]")
-        r.flags.writeable = False
-        object.__setattr__(self, "rates", r)
+        object.__setattr__(self, "rates", _frozen(r))
 
     @property
     def dimension(self) -> int:
@@ -221,9 +230,9 @@ class BondField:
         """Linear bond index: site-major, direction fastest."""
         return self.geometry.site_index(x) * self.dimension + direction
 
-    def bond_coords(self, bond: int) -> tuple[tuple[int, ...], int]:
-        site, direction = divmod(int(bond), self.dimension)
-        return self.geometry.site_coords(site), direction
+    @cached_property
+    def stencil(self) -> "TorusStencil":
+        return TorusStencil(self)
 
     def rate_at(self, x, direction: int) -> float:
         return float(self.rates[(direction,) + self.geometry.wrap(x)])
@@ -263,6 +272,45 @@ class BondField:
     @classmethod
     def loads(cls, s: str) -> "BondField":
         return cls.from_json(json.loads(s))
+
+
+class TorusStencil:
+    """The nearest-neighbour stencil of one bond field.
+
+    forward[i] is xi_i(x), the rate of the jump x -> x + e_i (the field's
+    rates themselves), and backward[i] is xi_i(x - e_i), the rate of the
+    jump x -> x - e_i; both have shape (d, 2N, ..., 2N).  Moves are
+    numbered +e_1, -e_1, +e_2, ...: table() holds their rates per site and
+    neighbors their target sites, both as (volume, 2d) arrays over linear
+    site indices.  total is the per-site holding rate, the sum of a site's
+    move rates.  neighbors and total are built on first use.
+    """
+
+    def __init__(self, fld: BondField):
+        xi = fld.rates
+        self.geometry = fld.geometry
+        self.forward = xi
+        self.backward = _frozen(np.stack([np.roll(xi[i], 1, axis=i)
+                                          for i in range(fld.dimension)]))
+
+    def table(self) -> np.ndarray:
+        return np.stack((self.forward, self.backward), axis=1).reshape(
+            2 * self.geometry.dimension, -1).T
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        total = np.zeros(self.geometry.volume)
+        for rates in self.table().T:
+            total += rates
+        return _frozen(total)
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        geom = self.geometry
+        idx = np.arange(geom.volume).reshape(geom.grid_shape)
+        return _frozen(np.stack([np.roll(idx, step, axis=i)
+                                 for i in range(geom.dimension) for step in (-1, 1)],
+                                axis=-1).reshape(geom.volume, -1))
 
 
 def sample_environment(law: DisorderLaw, geometry: TorusGeometry, seed: int) -> BondField:

@@ -1,10 +1,11 @@
 """Campaign drivers: convergence, concentration, sensitivity and identities.
 
 A campaign draws independent environments (one deterministic seed per
-replica, split off the master seed and shared across torus sizes so that
-successive sizes are positively coupled), computes the effective matrix for
-each, and aggregates.  Aggregation is deterministic: records are sorted by
-(N, replica) before any reduction, so thread pools cannot change output.
+replica, split off the master seed; each replica's environment is sampled
+once and periodized to every torus size, so successive sizes are positively
+coupled), computes the effective matrix for each, and aggregates.  A
+record depends only on its (N, replica) pair, and records are sorted by
+(N, replica) before any reduction, so aggregation is deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,11 +34,10 @@ class CampaignConfig:
     replicas: int
     tol: float = DEFAULT_TOL
     master_seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
-        if list(self.N_list) != sorted(self.N_list) or len(self.N_list) == 0:
-            raise ValueError("N_list must be nonempty and increasing")
+        if not self.N_list or list(self.N_list) != sorted(set(self.N_list)):
+            raise ValueError("N_list must be nonempty and strictly increasing")
         if self.replicas < 2:
             raise ValueError("need at least 2 replicas for variance estimates")
 
@@ -76,38 +75,29 @@ def run_campaign(config: CampaignConfig) -> list[ExperimentRecord]:
     it to the smaller sizes, so the per-replica family D_N is the periodized
     sequence of a single environment and successive sizes are coupled.
     """
-    n_max = max(config.N_list)
-
-    def one(task):
-        n, r = task
+    geom = TorusGeometry(config.dimension, max(config.N_list))
+    records = []
+    for r in range(config.replicas):
         seed = replica_seed(config.master_seed, r)
-        big = sample_environment(config.law,
-                                 TorusGeometry(config.dimension, n_max), seed)
-        fld = periodize(big, n)
-        mat = effective_matrix(fld, tol=config.tol)
-        diag = mat.diagnostics[0]
-        return ExperimentRecord(
-            N=n, replica=r, seed=seed, entries=mat.entries,
-            asymmetry=mat.asymmetry,
-            diagnostics={
-                "orthogonality_residual": max(d.orthogonality_residual
-                                              for d in mat.diagnostics),
-                "curl_residual": max(d.curl_residual for d in mat.diagnostics),
-                "flux_divergence_residual": max(d.flux_divergence_residual
-                                                for d in mat.diagnostics),
-                "l2_bound_margin": min(d.l2_bound_margin for d in mat.diagnostics),
-                "quadratic_linear_gap": max(d.quadratic_linear_gap
-                                            for d in mat.diagnostics),
-                "lp_norms": dict(diag.lp_norms),
-            },
-            iterations=mat.iterations)
-
-    tasks = [(n, r) for n in config.N_list for r in range(config.replicas)]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            records = list(pool.map(one, tasks))
-    else:
-        records = [one(t) for t in tasks]
+        big = sample_environment(config.law, geom, seed)
+        for n in config.N_list:
+            mat = effective_matrix(periodize(big, n), tol=config.tol)
+            diags = mat.diagnostics
+            records.append(ExperimentRecord(
+                N=n, replica=r, seed=seed, entries=mat.entries,
+                asymmetry=mat.asymmetry,
+                diagnostics={
+                    "orthogonality_residual": max(d.orthogonality_residual
+                                                  for d in diags),
+                    "curl_residual": max(d.curl_residual for d in diags),
+                    "flux_divergence_residual": max(d.flux_divergence_residual
+                                                    for d in diags),
+                    "l2_bound_margin": min(d.l2_bound_margin for d in diags),
+                    "quadratic_linear_gap": max(d.quadratic_linear_gap
+                                                for d in diags),
+                    "lp_norms": dict(diags[0].lp_norms),
+                },
+                iterations=mat.iterations))
     records.sort(key=lambda rec: (rec.N, rec.replica))
     return records
 

@@ -48,17 +48,8 @@ class SolveReport:
         }
 
 
-def _jacobi_diagonal(fld: BondField) -> np.ndarray:
-    # diagonal of -L: sum of the 2d incident rates at each site
-    xi = fld.rates
-    diag = np.zeros(fld.geometry.grid_shape)
-    for i in range(fld.dimension):
-        diag += xi[i] + np.roll(xi[i], 1, axis=i)
-    return diag
-
-
-def _cg(op, b, x0, tol, maxiter, precond=None, project=False):
-    """Preconditioned CG with optional mean re-projection each iteration."""
+def _cg(op, b, x0, tol, maxiter, project=False):
+    """CG with optional mean re-projection each iteration."""
     normb = np.linalg.norm(b)
     x = np.zeros_like(b) if x0 is None else x0.copy()
     if project:
@@ -68,12 +59,11 @@ def _cg(op, b, x0, tol, maxiter, precond=None, project=False):
     r = b - op(x)
     if project:
         r -= r.mean()
-    z = r if precond is None else r / precond
-    p = z.copy()
-    rz = np.vdot(r, z).real
+    p = r.copy()
+    rr = np.vdot(r, r).real
     for k in range(1, maxiter + 1):
         ap = op(p)
-        alpha = rz / np.vdot(p, ap).real
+        alpha = rr / np.vdot(p, ap).real
         x += alpha * p
         r -= alpha * ap
         if project:
@@ -82,18 +72,17 @@ def _cg(op, b, x0, tol, maxiter, precond=None, project=False):
         res = np.linalg.norm(r)
         if res <= tol * normb:
             return x, k, res
-        z = r if precond is None else r / precond
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+        rr_new = np.vdot(r, r).real
+        p = r + (rr_new / rr) * p
+        rr = rr_new
     raise ConvergenceError(
         f"CG did not reach tol {tol} in {maxiter} iterations "
         f"(last relative residual {res / normb:.3e})", res / normb, maxiter)
 
 
 def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL,
-                  maxiter: int | None = None, x0: np.ndarray | None = None,
-                  jacobi: bool = False) -> SolveReport:
+                  maxiter: int | None = None, x0: np.ndarray | None = None
+                  ) -> SolveReport:
     """Solve -L u = g for zero-mean u; g must be orthogonal to constants."""
     norm_g = np.linalg.norm(g)
     if abs(g.sum() / g.size) > 1e-12 * max(norm_g, 1.0):
@@ -102,9 +91,8 @@ def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL,
             "problem is only solvable on the zero-mean subspace")
     if maxiter is None:
         maxiter = 50 * fld.geometry.side * fld.dimension
-    precond = _jacobi_diagonal(fld) if jacobi else None
     u, k, res = _cg(lambda f: -apply_generator(fld, f), g, x0, tol, maxiter,
-                    precond=precond, project=True)
+                    project=True)
     return SolveReport(u, k, float(res), tol)
 
 
@@ -125,17 +113,11 @@ def dense_operator(fld: BondField) -> np.ndarray:
     geom = fld.geometry
     if geom.volume > DENSE_GUARD:
         raise SizeGuardError(f"volume {geom.volume} exceeds dense guard {DENSE_GUARD}")
-    vol, d = geom.volume, geom.dimension
-    idx = np.arange(vol).reshape(geom.grid_shape)
-    mat = np.zeros((vol, vol))
-    sites = idx.reshape(-1)
-    for i in range(d):
-        nb = np.roll(idx, -1, axis=i).reshape(-1)  # site + e_i
-        w = fld.rates[i].reshape(-1)
-        np.add.at(mat, (sites, sites), w)
-        np.add.at(mat, (nb, nb), w)
-        np.add.at(mat, (sites, nb), -w)
-        np.add.at(mat, (nb, sites), -w)
+    st = fld.stencil
+    mat = np.diag(st.total)
+    # on a side-2 torus x + e_i and x - e_i coincide: both moves add up
+    rows = np.repeat(np.arange(geom.volume), 2 * geom.dimension)
+    np.add.at(mat, (rows, st.neighbors.reshape(-1)), -st.table().reshape(-1))
     return mat
 
 

@@ -62,14 +62,16 @@ def spectral_measure(fld: BondField, v) -> SpectralMeasure:
     return SpectralMeasure(np.maximum(eigvals, 0.0), weights)
 
 
-def diffusivity_via_spectrum(fld: BondField, v) -> float:
+def diffusivity_via_spectrum(fld: BondField, v,
+                             measure: SpectralMeasure | None = None) -> float:
     """(v, D_N v) from the spectral route.
 
     2 sum_i mean(xi_i) v_i^2  -  2 sum over nonkernel atoms of weight / r.
-    Must match the corrector route to solver accuracy.
+    Must match the corrector route to solver accuracy.  measure, if given,
+    must be spectral_measure(fld, v); it saves the eigendecomposition.
     """
     v = np.asarray(v, dtype=float)
-    meas = spectral_measure(fld, v)
+    meas = spectral_measure(fld, v) if measure is None else measure
     cut = KERNEL_CUTOFF * max(meas.max_eigenvalue, 1.0)
     keep = (meas.eigenvalues > cut) & \
         (meas.weights > WEIGHT_CUTOFF * max(meas.total_mass, 1e-300))
@@ -78,11 +80,15 @@ def diffusivity_via_spectrum(fld: BondField, v) -> float:
     return static - 2.0 * drift_term
 
 
-def semigroup_moment(fld: BondField, v, n: float) -> float:
-    """sum of weight * exp(-n * eigenvalue); total mass at n = 0."""
+def semigroup_moment(fld: BondField, v, n: float,
+                     measure: SpectralMeasure | None = None) -> float:
+    """sum of weight * exp(-n * eigenvalue); total mass at n = 0.
+
+    measure, if given, must be spectral_measure(fld, v).
+    """
     if n < 0:
         raise ValueError(f"moment order must be nonnegative, got {n}")
-    meas = spectral_measure(fld, v)
+    meas = spectral_measure(fld, v) if measure is None else measure
     return float((meas.weights * np.exp(-n * meas.eigenvalues)).sum())
 
 

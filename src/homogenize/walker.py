@@ -31,38 +31,25 @@ class WalkConfig:
             raise ValueError(f"need at least one walker, got {self.walkers}")
 
 
-class _JumpTables:
-    """Per-site move rates, cumulative probabilities and neighbor indices."""
-
-    def __init__(self, fld: BondField):
-        geom = fld.geometry
-        d, vol = geom.dimension, geom.volume
-        idx = np.arange(vol).reshape(geom.grid_shape)
-        self.rates = np.empty((vol, 2 * d))
-        self.neighbors = np.empty((vol, 2 * d), dtype=np.int64)
-        self.moves = np.zeros((2 * d, d), dtype=np.int64)
-        for i in range(d):
-            self.rates[:, 2 * i] = fld.rates[i].reshape(-1)
-            self.rates[:, 2 * i + 1] = np.roll(fld.rates[i], 1, axis=i).reshape(-1)
-            self.neighbors[:, 2 * i] = np.roll(idx, -1, axis=i).reshape(-1)
-            self.neighbors[:, 2 * i + 1] = np.roll(idx, 1, axis=i).reshape(-1)
-            self.moves[2 * i, i] = 1
-            self.moves[2 * i + 1, i] = -1
-        self.total = self.rates.sum(axis=1)
-        self.cum = np.cumsum(self.rates, axis=1) / self.total[:, None]
-
-
 def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
-               start: np.ndarray | str = "origin"
+               start: np.ndarray | str = "origin", jump_log: list | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance a batch of independent walkers to time t.
 
     start is "origin", "uniform" (uniform torus site) or an array of linear
     site indices.  Returns (displacements, start_sites, end_sites) with
-    displacements unwrapped in Z^d and sites as linear indices.
+    displacements unwrapped in Z^d and sites as linear indices.  With a
+    single walker, jump_log (a list) receives every jump as a dict
+    {"time", "site", "direction"}: site is the linear index before the jump
+    and direction in 0..2d-1 encodes +e_1, -e_1, +e_2, ...
     """
+    if jump_log is not None and walkers != 1:
+        raise ValueError(f"a jump log needs a single walker, got {walkers}")
     geom = fld.geometry
-    tab = _JumpTables(fld)
+    st = fld.stencil
+    # row k is the step of move k: +e_1, -e_1, +e_2, ...
+    moves = np.kron(np.eye(geom.dimension, dtype=np.int64), [[1], [-1]])
+    cum = np.cumsum(st.table(), axis=1) / st.total[:, None]
     rng = rng_for(seed)
     if isinstance(start, str):
         if start == "origin":
@@ -81,15 +68,18 @@ def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
     active = np.arange(walkers)
     while active.size:
         p = pos[active]
-        dt = rng.standard_exponential(active.size) / tab.total[p]
+        dt = rng.standard_exponential(active.size) / st.total[p]
         clock[active] += dt
         alive = clock[active] <= t
         act = active[alive]
         if act.size:
             u = rng.random(act.size)
-            choice = (u[:, None] > tab.cum[pos[act]]).sum(axis=1)
-            disp[act] += tab.moves[choice]
-            pos[act] = tab.neighbors[pos[act], choice]
+            choice = (u[:, None] > cum[pos[act]]).sum(axis=1)
+            if jump_log is not None:
+                jump_log.append({"time": clock[0], "site": int(pos[0]),
+                                 "direction": int(choice[0])})
+            disp[act] += moves[choice]
+            pos[act] = st.neighbors[pos[act], choice]
         active = act
     return disp, start_sites, pos
 
@@ -98,27 +88,11 @@ def simulate_walk(fld: BondField, t: float, seed: int,
                   jump_log: list | None = None) -> np.ndarray:
     """One walker started at the origin; returns the unwrapped displacement.
 
-    If jump_log is a list, every jump is appended as a dict
-    {"time", "site", "direction"} (site = linear index before the jump,
-    direction in 0..2d-1 encoding +e_1, -e_1, +e_2, ...).
+    The same walk as walk_batch(fld, t, 1, seed), whose jump_log it passes on.
     """
     if t <= 0:
         raise ValueError(f"horizon must be positive, got {t}")
-    geom = fld.geometry
-    tab = _JumpTables(fld)
-    rng = rng_for(seed)
-    pos = 0
-    disp = np.zeros(geom.dimension, dtype=np.int64)
-    clock = 0.0
-    while True:
-        clock += rng.standard_exponential() / tab.total[pos]
-        if clock > t:
-            return disp
-        choice = int((rng.random() > tab.cum[pos]).sum())
-        if jump_log is not None:
-            jump_log.append({"time": clock, "site": int(pos), "direction": choice})
-        disp += tab.moves[choice]
-        pos = int(tab.neighbors[pos, choice])
+    return walk_batch(fld, t, 1, seed, jump_log=jump_log)[0][0]
 
 
 def msd_estimate(fld: BondField, v, config: WalkConfig,

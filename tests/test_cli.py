@@ -106,9 +106,13 @@ def test_missing_config_exits_2_without_artifacts(tmp_path, capsys):
 
 
 def test_unknown_key_rejected(tmp_path):
-    cfg = write_config(tmp_path, base_config(typo_key=1))
-    assert run_cli("diffusivity", cfg, tmp_path) == EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
+    # threads and the two solver keys were once accepted and then ignored
+    for extra in ({"typo_key": 1}, {"threads": 2},
+                  {"solver": {"max_iterations": 1}},
+                  {"solver": {"jacobi": True}}):
+        cfg = write_config(tmp_path, base_config(**extra))
+        assert run_cli("diffusivity", cfg, tmp_path) == EXIT_CONFIG, extra
+        assert not (tmp_path / "out").exists()
 
 
 def test_invalid_json_rejected(tmp_path):
@@ -165,8 +169,35 @@ def test_vector_length_mismatch_exits_2(tmp_path):
     assert run_cli("diffusivity", cfg, tmp_path) == EXIT_CONFIG
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOMOGENIZE_THREADS", "2")
-    cfg = write_config(tmp_path, base_config(
-        campaign={"N_list": [2], "replicas": 2}))
-    assert run_cli("converge", cfg, tmp_path) == 0
+@pytest.mark.parametrize("subcommand,extra,message", [
+    ("diffusivity", {"law": {"kind": "uniform", "params": [2, 1]}}, "0 < a <= b"),
+    ("diffusivity", {"law": {"kind": "constant", "params": [1, 2]}},
+     "constant law takes 1 params, got 2"),
+    ("converge", {"campaign": {"N_list": [4, 2]}}, "increasing"),
+    ("converge", {"campaign": {"N_list": [2, 2]}}, "increasing"),
+    ("converge", {"campaign": {"N_list": []}}, "campaign.N_list"),
+    ("walk", {"walk": {"t": 0}}, "walk.t"),
+    ("spectral", {"spectral": {"n": -1}}, "spectral.n"),
+    ("hamming", {"hamming": {"perturb_counts": []}}, "hamming.perturb_counts"),
+    ("hamming", {"hamming": {"perturb_counts": [1000]}}, "1000 of the 32 bonds"),
+], ids=["uniform_reversed", "constant_two_params", "N_list_decreasing",
+        "N_list_repeated", "N_list_empty", "walk_t_zero", "spectral_n_negative",
+        "perturb_counts_empty", "perturb_counts_too_many"])
+def test_bad_config_values_exit_2_with_message(tmp_path, capsys, subcommand,
+                                               extra, message):
+    cfg = write_config(tmp_path, base_config(**extra))
+    assert run_cli(subcommand, cfg, tmp_path) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["kind"] == "config"
+    assert message in err["message"]
+
+
+def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a bug, not a config value")
+
+    monkeypatch.setattr("homogenize.cli.effective_matrix", broken)
+    cfg = write_config(tmp_path, base_config())
+    # the error propagates, so the interpreter exits 1 with a traceback, not 2
+    with pytest.raises(ValueError, match="a bug"):
+        run_cli("diffusivity", cfg, tmp_path)

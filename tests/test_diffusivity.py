@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from homogenize.diffusivity import (corrector, corrector_gradient, effective_matrix,
+from homogenize.diffusivity import (corrector, effective_matrix,
                                     effective_quadratic, identity_residuals,
                                     one_d_exact)
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
@@ -22,7 +22,7 @@ def test_corrector_constant_environment():
 def test_corrector_two_site():
     chi = corrector(TWO_SITE, [1.0]).solution
     assert np.allclose(chi, [1 / 6, -1 / 6])
-    psi = corrector_gradient(chi)
+    psi = grad(chi)
     assert np.allclose(psi, [[-1 / 3, 1 / 3]])
 
 
@@ -36,7 +36,7 @@ def test_corrector_linearity():
 
 def test_corrector_gradient_zero_mean():
     fld = sample_environment(UNIFORM, TorusGeometry(2, 3), 4)
-    psi = corrector_gradient(corrector(fld, [1.0, 2.0]).solution)
+    psi = grad(corrector(fld, [1.0, 2.0]).solution)
     for comp in psi:
         assert abs(mean_rho(comp)) <= 1e-14 * max(1.0, np.abs(psi).max())
 

@@ -21,6 +21,8 @@ def test_campaign_config_validation():
     with pytest.raises(ValueError):
         CampaignConfig(law, 1, (4, 2), replicas=4)
     with pytest.raises(ValueError):
+        CampaignConfig(law, 1, (2, 2), replicas=4)
+    with pytest.raises(ValueError):
         CampaignConfig(law, 1, (2, 4), replicas=1)
 
 
@@ -79,12 +81,17 @@ def test_campaign_csv_reproducible():
     assert len(csv1.splitlines()) == 1 + 2 * 3
 
 
-def test_campaign_threads_agree_with_serial():
+def test_campaign_rows_independent_of_replica_count():
     law = DisorderLaw.uniform(0.5, 2.0)
-    serial = CampaignConfig(law, 1, (2, 4), replicas=4, master_seed=2, threads=1)
-    parallel = CampaignConfig(law, 1, (2, 4), replicas=4, master_seed=2, threads=3)
-    assert records_to_csv(run_campaign(serial), serial) == \
-        records_to_csv(run_campaign(parallel), parallel)
+    first_four = {str(replica_seed(2, r)) for r in range(4)}
+    rows = {}
+    for replicas in (4, 6):
+        cfg = CampaignConfig(law, 2, (2, 4), replicas=replicas, master_seed=2)
+        lines = records_to_csv(run_campaign(cfg), cfg).splitlines()[1:]
+        rows[replicas] = [line for line in lines
+                          if line.split(",")[0] in first_four]
+    assert len(rows[4]) == 8
+    assert rows[4] == rows[6]
 
 
 def test_one_d_routes_cross_validate():

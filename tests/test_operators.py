@@ -5,6 +5,7 @@ from homogenize.environment import (BondField, DisorderLaw, GeometryMismatchErro
                                     TorusGeometry, rng_for, sample_environment)
 from homogenize.operators import (apply_generator, dirichlet_energy, div_star,
                                   dot, grad, local_drift, mean_rho)
+from homogenize.solver import dense_operator
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
 
@@ -89,3 +90,26 @@ def test_local_drift():
 def test_mean_rho():
     assert mean_rho(np.full((4, 4), 2.5)) == 2.5
     assert mean_rho(np.array([0.0, 1.0])) == 0.5
+
+
+@pytest.mark.parametrize("d,N", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+def test_stencil_consumers_agree(d, N):
+    # side 2 (N = 1) makes x + e_i and x - e_i the same site
+    fld = random_field(d, N, 30 + d)
+    geom = fld.geometry
+    f = rng_for(31, d, N).normal(size=geom.grid_shape)
+    # L f read off the model, site by site
+    eye = np.eye(d, dtype=int)
+    ref = np.zeros(geom.volume)
+    for k in range(geom.volume):
+        x = np.array(geom.site_coords(k))
+        for i in range(d):
+            for step, rate in ((eye[i], fld.rate_at(x, i)),
+                               (-eye[i], fld.rate_at(x - eye[i], i))):
+                ref[k] += rate * (f.flat[geom.site_index(x + step)] - f.flat[k])
+    atol = 1e-13 * fld.ellipticity * np.abs(f).max()
+    mat = dense_operator(fld)
+    assert np.allclose(apply_generator(fld, f).reshape(-1), ref, rtol=0, atol=atol)
+    assert np.allclose(mat @ f.reshape(-1), -ref, rtol=0, atol=atol)
+    # the walker's holding rate is the diagonal of -L
+    assert np.array_equal(fld.stencil.total, np.diag(mat))

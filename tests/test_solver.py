@@ -92,13 +92,6 @@ def test_solution_unique_in_zero_mean_subspace():
     assert np.linalg.norm(u1 - u2) <= 10 * tol * np.linalg.norm(g)
 
 
-def test_jacobi_preconditioner_agrees():
-    fld, g = random_instance(2, 3, 13)
-    u1 = solve_poisson(fld, g).solution
-    u2 = solve_poisson(fld, g, jacobi=True).solution
-    assert np.allclose(u1, u2, atol=1e-8)
-
-
 def test_iteration_cap_raises():
     fld, g = random_instance(2, 4, 17)
     with pytest.raises(ConvergenceError) as exc:

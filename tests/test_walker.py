@@ -88,6 +88,40 @@ def test_jump_log_reproduces_displacement():
     assert np.array_equal(replayed, disp)
     # wrapped final position agrees with the unwrapped displacement
     assert site == fld.geometry.site_index(tuple(disp % fld.geometry.side))
+    with pytest.raises(ValueError):
+        walk_batch(fld, 25.0, 2, seed=13, jump_log=[])
+
+
+def _reference_walk(fld, t, seed):
+    """The model's Gillespie loop for one walker from the origin, site by site.
+
+    Jumps x -> x + e_i at rate xi_i(x) and x -> x - e_i at rate
+    xi_i(x - e_i), drawing the same random numbers in the same order as
+    walk_batch.
+    """
+    d = fld.dimension
+    eye = np.eye(d, dtype=np.int64)
+    rng = rng_for(seed)
+    x = np.zeros(d, dtype=np.int64)
+    clock = 0.0
+    while True:
+        rates = np.array([rate for i in range(d)
+                          for rate in (fld.rate_at(x, i), fld.rate_at(x - eye[i], i))])
+        clock += rng.standard_exponential() / rates.sum()
+        if clock > t:
+            return x
+        k = int((rng.random() > np.cumsum(rates) / rates.sum()).sum())
+        x += eye[k // 2] if k % 2 == 0 else -eye[k // 2]
+
+
+def test_single_walker_matches_reference_loop():
+    for d in (1, 2, 3):
+        fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(d, 2), d)
+        for t in (0.3, 5.0):
+            for seed in range(20):
+                disp = walk_batch(fld, t, 1, seed)[0][0]
+                assert np.array_equal(disp, simulate_walk(fld, t, seed))
+                assert np.array_equal(disp, _reference_walk(fld, t, seed))
 
 
 def test_walk_batch_end_sites_consistent_with_displacement():
