@@ -15,7 +15,7 @@ fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 4),
                          seed=602)
 v = np.array([1.0, 0.0])
 
-quad, _ = effective_quadratic(fld, v)
+quad = effective_quadratic(fld, v)
 print(f"corrector route:  (v, D_N v) = {quad:.5f}")
 
 config = WalkConfig(t=200.0, walkers=50_000, seed=1)

@@ -22,7 +22,7 @@ print(f"atoms: {meas.weights.size}  total mass {meas.total_mass:.5f}  "
       f"largest eigenvalue {meas.max_eigenvalue:.3f}")
 print(f"mass on the kernel (must vanish): {meas.kernel_mass:.2e}")
 
-quad, _ = effective_quadratic(fld, v)
+quad = effective_quadratic(fld, v)
 spec = diffusivity_via_spectrum(fld, v)
 print(f"\ncorrector route {quad:.10f}")
 print(f"spectral route  {spec:.10f}   gap {abs(spec - quad):.2e}")

@@ -180,16 +180,6 @@ def _common(config: dict):
     return geom, law, tol, v
 
 
-def _artifact(config: dict, payload: dict) -> dict:
-    payload["config_hash"] = config_hash(config)
-    payload["version"] = __version__
-    return payload
-
-
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _campaign_config(config: dict, geom, law, tol) -> CampaignConfig:
     camp = config.get("campaign", {})
     return _from_config(
@@ -200,19 +190,18 @@ def _campaign_config(config: dict, geom, law, tol) -> CampaignConfig:
 
 
 def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
-    """Execute one subcommand; returns the written artifact paths."""
+    """Execute one subcommand; returns the written artifact paths.
+
+    Nothing is written, and outdir is not created, unless the computation
+    succeeds.
+    """
     geom, law, tol, v = _common(config)
     seed = config["seed"]
-    tag = f"seed{seed}_{config_hash(config)}"
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
+    texts = {}  # file extension -> artifact text, written in this order
 
     if subcommand == "diffusivity":
         fld = sample_environment(law, geom, seed)
-        mat = effective_matrix(fld, tol=tol)
-        path = outdir / f"diffusivity_{tag}.json"
-        _write_json(path, _artifact(config, {"effective_matrix": mat.to_json()}))
-        written.append(path)
+        payload = {"effective_matrix": effective_matrix(fld, tol=tol).to_json()}
 
     elif subcommand in ("converge", "concentrate"):
         camp_cfg = _campaign_config(config, geom, law, tol)
@@ -222,12 +211,8 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
         else:
             eps = tuple(config.get("campaign", {}).get("epsilons", (0.05, 0.1, 0.2)))
             study = concentration_study(camp_cfg, epsilons=eps, records=records)
-        csv_path = outdir / f"{subcommand}_{tag}.csv"
-        csv_path.write_text(records_to_csv(records, camp_cfg))
-        json_path = outdir / f"{subcommand}_{tag}.json"
-        _write_json(json_path, _artifact(config,
-                                         summary_to_json(study, camp_cfg, __version__)))
-        written += [csv_path, json_path]
+        texts["csv"] = records_to_csv(records, camp_cfg)
+        payload = summary_to_json(study, camp_cfg, __version__)
 
     elif subcommand == "hamming":
         ham = config.get("hamming", {})
@@ -238,25 +223,20 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
         fld = sample_environment(law, geom, seed)
         result = hamming_sensitivity(fld, counts, ham.get("trials", 20),
                                      tol=tol, law=law, seed=seed)
-        path = outdir / f"hamming_{tag}.json"
-        _write_json(path, _artifact(config, {
+        payload = {
             "pairs": [[f, d] for f, d in result["pairs"]],
             "medians": {str(k): val for k, val in result["medians"].items()},
             "exponent": result["exponent"],
             "baseline": result["baseline"],
-        }))
-        written.append(path)
+        }
 
     elif subcommand == "walk":
         fld = sample_environment(law, geom, seed)
         walk = config.get("walk", {})
         wc = WalkConfig(walk.get("t", 100.0), walk.get("walkers", 10_000), seed=seed)
         est, se = msd_estimate(fld, v, wc, start=walk.get("start", "origin"))
-        path = outdir / f"walk_{tag}.json"
-        _write_json(path, _artifact(config, {
-            "msd_estimate": est, "standard_error": se,
-            "t": wc.t, "walkers": wc.walkers}))
-        written.append(path)
+        payload = {"msd_estimate": est, "standard_error": se,
+                   "t": wc.t, "walkers": wc.walkers}
 
     elif subcommand == "spectral":
         fld = sample_environment(law, geom, seed)
@@ -278,30 +258,29 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
                 est, se = semigroup_moment_mc(fld, v, n, walkers, seed=seed)
                 payload["semigroup_moment_mc"] = {
                     "estimate": est, "standard_error": se, "walkers": walkers}
-        path = outdir / f"spectral_{tag}.json"
-        _write_json(path, _artifact(config, payload))
-        written.append(path)
 
     elif subcommand == "surface-tension":
         fld = sample_environment(law, geom, seed)
         max_steps = config.get("surface", {}).get("max_steps", 100_000)
         sigma, quarter, residual = surface_tension(fld, v, tol=tol,
                                                    max_steps=max_steps)
-        path = outdir / f"surface_tension_{tag}.json"
-        _write_json(path, _artifact(config, {
-            "sigma": sigma, "quarter_form": quarter, "residual": residual}))
-        written.append(path)
+        payload = {"sigma": sigma, "quarter_form": quarter, "residual": residual}
 
     elif subcommand == "resolvent":
         fld = sample_environment(law, geom, seed)
         lambdas = config.get("resolvent", {}).get("lambdas", [1.0, 0.1, 0.01, 0.001])
-        rows = resolvent_convergence(fld, v, lambdas, tol=tol)
-        path = outdir / f"resolvent_{tag}.json"
-        _write_json(path, _artifact(config, {"table": rows}))
-        written.append(path)
+        payload = {"table": resolvent_convergence(fld, v, lambdas, tol=tol)}
 
     else:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
+
+    payload.update(config_hash=config_hash(config), version=__version__)
+    texts["json"] = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    outdir.mkdir(parents=True, exist_ok=True)
+    stem = f"{subcommand.replace('-', '_')}_seed{seed}_{config_hash(config)}"
+    written = [outdir / f"{stem}.{ext}" for ext in texts]
+    for path, text in zip(written, texts.values()):
+        path.write_text(text)
     return written
 
 

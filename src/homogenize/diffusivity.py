@@ -1,5 +1,9 @@
 """Correctors, the effective diffusion matrix and its identity diagnostics.
 
+(v, D_N v) is the energy 2 sum_i mean(xi_i w_i^2) of the corrected gradient
+w = v + grad chi, chi the corrector (effective_quadratic); identity_residuals
+checks the finite-volume identities on a solved corrector.
+
 Normalization: the homogeneous medium with rate a has effective matrix
 2a * Identity (the factor-2 convention of the mean-square-displacement
 definition).  In d = 1 the matrix is 2 / (torus mean of 1/xi) exactly.
@@ -90,15 +94,27 @@ def corrector(fld: BondField, v, tol: float = DEFAULT_TOL) -> SolveReport:
     return solve_poisson(fld, local_drift(fld, v), tol=tol)
 
 
+def _corrected(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The corrected gradient w = v + psi, v broadcast over the sites."""
+    return v.reshape((v.size,) + (1,) * v.size) + psi
+
+
+def _energy(xi: np.ndarray, w: np.ndarray) -> float:
+    """Corrector energy 2 sum_i mean(xi_i w_i^2) of a corrected gradient w."""
+    return 2.0 * sum(mean_rho(xi[i] * w[i] ** 2) for i in range(len(w)))
+
+
 def identity_residuals(fld: BondField, v, chi: np.ndarray) -> IdentityDiagnostics:
     """Evaluate every finite-volume identity on a solved corrector."""
     v = np.asarray(v, dtype=float)
     xi = fld.rates
     psi = grad(chi)
     d = fld.dimension
+    w = _corrected(v, psi)
+    flux = xi * w
 
-    quad = 2.0 * sum(mean_rho(xi[i] * (v[i] + psi[i]) ** 2) for i in range(d))
-    lin = 2.0 * sum(v[i] * mean_rho(xi[i] * (v[i] + psi[i])) for i in range(d))
+    quad = _energy(xi, w)
+    lin = 2.0 * sum(v[i] * mean_rho(flux[i]) for i in range(d))
 
     ortho = abs(sum(mean_rho(xi[i] * psi[i] ** 2) for i in range(d))
                 + sum(v[i] * mean_rho(xi[i] * psi[i]) for i in range(d)))
@@ -110,7 +126,6 @@ def identity_residuals(fld: BondField, v, chi: np.ndarray) -> IdentityDiagnostic
                 - (np.roll(psi[i], -1, axis=k) - psi[i])
             curl = max(curl, float(np.abs(mixed).max()))
 
-    flux = xi * (v.reshape((d,) + (1,) * d) + psi)
     flux_div = float(np.abs(div_star(flux)).max())
 
     vnorm2 = float(v @ v)
@@ -130,49 +145,43 @@ def identity_residuals(fld: BondField, v, chi: np.ndarray) -> IdentityDiagnostic
     )
 
 
-def effective_quadratic(fld: BondField, v, tol: float = DEFAULT_TOL
-                        ) -> tuple[float, IdentityDiagnostics]:
-    """(v, D_N v) via the corrector route, with identity diagnostics.
+def effective_quadratic(fld: BondField, v, tol: float = DEFAULT_TOL) -> float:
+    """(v, D_N v) via the corrector route: the energy of v + grad chi.
 
-    Returns the quadratic identity 2 sum_i mean(xi_i (v_i + psi^i)^2);
-    the gap to the linear identity is recorded in the diagnostics.
+    Diagnostics are not computed here; identity_residuals gives them.
     """
     v = np.asarray(v, dtype=float)
     chi = corrector(fld, v, tol=tol).solution
-    psi = grad(chi)
-    value = 2.0 * sum(mean_rho(fld.rates[i] * (v[i] + psi[i]) ** 2)
-                      for i in range(fld.dimension))
-    return value, identity_residuals(fld, v, chi)
+    return _energy(fld.rates, _corrected(v, grad(chi)))
 
 
 def effective_matrix(fld: BondField, tol: float = DEFAULT_TOL) -> EffectiveMatrix:
     """Assemble D_N from the d basis correctors.
 
-    entries[i, j] = 2 sum_k mean(xi_k (delta_ki + psi^{ki})(delta_kj + psi^{kj}))
-    (exactly symmetric); the linear identity gives the cross-check matrix
-    2 mean(xi_i (delta_ij + psi^{ij})), symmetrized.
+    With the corrected gradients w^j = e_j + grad chi_j and the fluxes
+    xi w^j, entries[i, j] = 2 sum_k mean((xi w^i)_k w^j_k) (exactly
+    symmetric); the linear identity gives the cross-check matrix
+    2 mean((xi w^j)_i), symmetrized.
     """
     d = fld.dimension
-    xi = fld.rates
     eye = np.eye(d)
-    columns = []
+    corrected = []
     diagnostics = []
     iterations = 0
     for j in range(d):
         rep = corrector(fld, eye[j], tol=tol)
         iterations += rep.iterations
         diagnostics.append(identity_residuals(fld, eye[j], rep.solution))
-        columns.append(grad(rep.solution))  # psi^{i j} over i
+        corrected.append(_corrected(eye[j], grad(rep.solution)))
 
-    # corrected fluxes chi_k^{(j)} = delta_kj + psi^{kj}
+    fluxes = [fld.rates * w for w in corrected]
     quad = np.zeros((d, d))
     linear = np.zeros((d, d))
-    corrected = [eye[:, j].reshape((d,) + (1,) * d) + columns[j] for j in range(d)]
     for i in range(d):
         for j in range(d):
-            quad[i, j] = 2.0 * sum(mean_rho(xi[k] * corrected[i][k] * corrected[j][k])
+            quad[i, j] = 2.0 * sum(mean_rho(fluxes[i][k] * corrected[j][k])
                                    for k in range(d))
-            linear[i, j] = 2.0 * mean_rho(xi[i] * corrected[j][i])
+            linear[i, j] = 2.0 * mean_rho(fluxes[j][i])
     asymmetry = float(np.linalg.norm(linear - linear.T))
     return EffectiveMatrix(fld.geometry, 0.5 * (quad + quad.T),
                            0.5 * (linear + linear.T), asymmetry,

@@ -132,6 +132,7 @@ def test_solver_failure_exit_code(tmp_path):
         law={"kind": "uniform", "params": [0.5, 2.0]},
         surface={"max_steps": 1}))
     assert run_cli("surface-tension", cfg, tmp_path) == EXIT_SOLVER
+    assert not (tmp_path / "out").exists()
 
 
 def test_dotted_overrides(tmp_path):
@@ -190,6 +191,7 @@ def test_bad_config_values_exit_2_with_message(tmp_path, capsys, subcommand,
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["kind"] == "config"
     assert message in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch):

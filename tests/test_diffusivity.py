@@ -44,14 +44,13 @@ def test_corrector_gradient_zero_mean():
 def test_effective_quadratic_constant():
     for a in (1.0, 1.7):
         fld = sample_environment(DisorderLaw.constant(a), TorusGeometry(2, 2), 0)
-        val, _ = effective_quadratic(fld, [1.0, 0.0])
+        val = effective_quadratic(fld, [1.0, 0.0])
         assert val == pytest.approx(2 * a, abs=1e-12)
 
 
 def test_effective_quadratic_two_site():
-    val, diag = effective_quadratic(TWO_SITE, [1.0])
+    val = effective_quadratic(TWO_SITE, [1.0])
     assert val == pytest.approx(8 / 3, abs=1e-12)
-    assert diag.quadratic_linear_gap <= 1e-12
 
 
 def test_effective_quadratic_upper_bound():
@@ -59,7 +58,7 @@ def test_effective_quadratic_upper_bound():
     for seed in range(5):
         fld = sample_environment(UNIFORM, TorusGeometry(2, 2), seed)
         v = rng_for(seed, 1).normal(size=2)
-        val, _ = effective_quadratic(fld, v, tol=TOL)
+        val = effective_quadratic(fld, v, tol=TOL)
         naive = 2 * sum(mean_rho(fld.rates[i]) * v[i] ** 2 for i in range(2))
         assert val <= naive + 10 * TOL
 
@@ -67,7 +66,7 @@ def test_effective_quadratic_upper_bound():
 def test_variational_bound_random_trial_functions():
     fld = sample_environment(UNIFORM, TorusGeometry(2, 2), 7)
     v = np.array([1.0, 0.5])
-    val, _ = effective_quadratic(fld, v, tol=TOL)
+    val = effective_quadratic(fld, v, tol=TOL)
     rng = rng_for(77)
     for _ in range(50):
         f = rng.normal(size=fld.geometry.grid_shape)
@@ -82,8 +81,8 @@ def test_monotonicity_in_the_medium():
         raised = BondField(fld.geometry, fld.ellipticity,
                            np.minimum(fld.rates * 1.3, fld.ellipticity))
         v = [1.0, -0.3]
-        low, _ = effective_quadratic(fld, v, tol=TOL)
-        high, _ = effective_quadratic(raised, v, tol=TOL)
+        low = effective_quadratic(fld, v, tol=TOL)
+        high = effective_quadratic(raised, v, tol=TOL)
         assert low <= high + 10 * TOL
 
 
@@ -113,8 +112,14 @@ def test_effective_matrix_consistency_and_bounds():
     assert np.allclose(mat.entries, mat.linear_form_entries, rtol=1e-8)
     # quadratic form matches the direct route
     v = np.array([1.0, 1.0])
-    direct, _ = effective_quadratic(fld, v, tol=TOL)
+    direct = effective_quadratic(fld, v, tol=TOL)
     assert mat.quadratic_form(v) == pytest.approx(direct, rel=1e-7)
+    # the matrix path and the single-vector paths agree per basis vector
+    for j, e_j in enumerate(np.eye(2)):
+        alone = identity_residuals(fld, e_j, corrector(fld, e_j, tol=TOL).solution)
+        assert mat.diagnostics[j] == alone
+        assert mat.entries[j, j] == pytest.approx(
+            effective_quadratic(fld, e_j, tol=TOL), rel=1e-12)
     # spectral bounds from the variational formula
     eigs = np.linalg.eigvalsh(mat.entries)
     assert eigs.min() >= 2 / c - 1e-8
@@ -149,6 +154,7 @@ def test_identity_residuals_two_site_constant_flux():
     assert np.allclose(flux, 4 / 3)
     diag = identity_residuals(TWO_SITE, [1.0], chi)
     assert diag.flux_divergence_residual <= 1e-12
+    assert diag.quadratic_linear_gap <= 1e-12
     assert diag.curl_residual == 0.0  # no mixed pairs in d = 1
 
 

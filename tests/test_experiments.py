@@ -149,8 +149,15 @@ def test_surface_tension_quadratic_scaling():
 
 def test_surface_tension_budget_exhaustion():
     fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 2), 9)
-    with pytest.raises(ConvergenceError):
-        surface_tension(fld, [1.0, 0.0], max_steps=1)
+    residuals = []
+    for scale in (1.0, 1000.0):
+        with pytest.raises(ConvergenceError) as info:
+            surface_tension(fld, [scale, 0.0], max_steps=1)
+        residuals.append(info.value.residual)
+    # the residual is relative: scaling v leaves it unchanged
+    assert residuals[1] == pytest.approx(residuals[0], rel=1e-9)
+    with pytest.raises(ValueError):
+        surface_tension(fld, [1.0, 0.0], max_steps=0)
 
 
 def test_resolvent_convergence_two_site_value():
