@@ -23,15 +23,15 @@ print(f"atoms: {meas.weights.size}  total mass {meas.total_mass:.5f}  "
 print(f"mass on the kernel (must vanish): {meas.kernel_mass:.2e}")
 
 quad = effective_quadratic(fld, v)
-spec = diffusivity_via_spectrum(fld, v)
+spec = diffusivity_via_spectrum(meas)
 print(f"\ncorrector route {quad:.10f}")
 print(f"spectral route  {spec:.10f}   gap {abs(spec - quad):.2e}")
 
 print("\nsemigroup moments (completely monotone in n):")
 for n in (0.0, 0.5, 1.0, 2.0, 4.0):
-    print(f"  n = {n:3}: {semigroup_moment(fld, v, n):.6f}")
+    print(f"  n = {n:3}: {semigroup_moment(meas, n):.6f}")
 
 est, se = semigroup_moment_mc(fld, v, 1.0, walkers=100_000, seed=3)
-exact = semigroup_moment(fld, v, 1.0)
+exact = semigroup_moment(meas, 1.0)
 print(f"\nMonte Carlo at n = 1: {est:.6f} +/- {se:.6f} "
       f"(exact {exact:.6f}, z = {(est - exact) / se:+.2f})")

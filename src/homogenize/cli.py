@@ -64,7 +64,7 @@ CONFIG_SCHEMA = {
         "solver": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"tol": _NUM},
+            "properties": {"tol": {"type": "number", "exclusiveMinimum": 0}},
         },
         "output_dir": {"type": "string"},
         "campaign": {
@@ -246,13 +246,12 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
             "spectral_measure": meas.to_json(),
             "total_mass": meas.total_mass,
             "max_eigenvalue": meas.max_eigenvalue,
-            "diffusivity_via_spectrum": diffusivity_via_spectrum(fld, v,
-                                                                 measure=meas),
+            "diffusivity_via_spectrum": diffusivity_via_spectrum(meas),
         }
         n = spec.get("n")
         if n is not None:
             payload["semigroup_moment"] = {
-                "n": n, "value": semigroup_moment(fld, v, n, measure=meas)}
+                "n": n, "value": semigroup_moment(meas, n)}
             walkers = spec.get("walkers")
             if walkers:
                 est, se = semigroup_moment_mc(fld, v, n, walkers, seed=seed)

@@ -226,10 +226,6 @@ class BondField:
     def dimension(self) -> int:
         return self.geometry.dimension
 
-    def bond_id(self, x, direction: int) -> int:
-        """Linear bond index: site-major, direction fastest."""
-        return self.geometry.site_index(x) * self.dimension + direction
-
     @cached_property
     def stencil(self) -> "TorusStencil":
         return TorusStencil(self)

@@ -65,7 +65,8 @@ class ExperimentRecord:
 
 
 # How a record reduces each identity diagnostic over its basis correctors; the
-# same order is the CSV column order.
+# same order is the CSV column order.  Each Lp norm reduces by max, exponent
+# by exponent.
 DIAGNOSTIC_REDUCTIONS = {
     "orthogonality_residual": max,
     "curl_residual": max,
@@ -97,10 +98,11 @@ def run_campaign(config: CampaignConfig) -> list[ExperimentRecord]:
             diags = mat.diagnostics
             reduced = {name: reduce(getattr(d, name) for d in diags)
                        for name, reduce in DIAGNOSTIC_REDUCTIONS.items()}
+            lp_norms = {p: max(d.lp_norms[p] for d in diags) for p in LP_EXPONENTS}
             records.append(ExperimentRecord(
                 N=n, replica=r, seed=seed, entries=mat.entries,
                 asymmetry=mat.asymmetry,
-                diagnostics={**reduced, "lp_norms": dict(diags[0].lp_norms)},
+                diagnostics={**reduced, "lp_norms": lp_norms},
                 iterations=mat.iterations))
     records.sort(key=lambda rec: (rec.N, rec.replica))
     return records

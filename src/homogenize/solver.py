@@ -48,14 +48,19 @@ class SolveReport:
         }
 
 
-def _cg(op, b, x0, tol, maxiter, project=False):
-    """CG with optional mean re-projection each iteration."""
+def _maxiter(fld: BondField) -> int:
+    """Iteration cap of one CG solve on fld."""
+    return 50 * fld.geometry.side * fld.dimension
+
+
+def _cg(op, b, tol, maxiter, project=False):
+    """CG from zero with optional mean re-projection each iteration."""
+    if not tol > 0:
+        raise ValueError(f"solver tolerance must be positive, got {tol}")
     normb = np.linalg.norm(b)
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    if project:
-        x -= x.mean()
     if normb == 0.0:
         return np.zeros_like(b), 0, 0.0
+    x = np.zeros_like(b)
     r = b - op(x)
     if project:
         r -= r.mean()
@@ -80,8 +85,7 @@ def _cg(op, b, x0, tol, maxiter, project=False):
         f"(last relative residual {res / normb:.3e})", res / normb, maxiter)
 
 
-def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL,
-                  maxiter: int | None = None, x0: np.ndarray | None = None
+def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL
                   ) -> SolveReport:
     """Solve -L u = g for zero-mean u; g must be orthogonal to constants."""
     norm_g = np.linalg.norm(g)
@@ -89,22 +93,18 @@ def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL,
         raise ValueError(
             f"right side has nonzero mean {mean_rho(g):.3e}; the singular "
             "problem is only solvable on the zero-mean subspace")
-    if maxiter is None:
-        maxiter = 50 * fld.geometry.side * fld.dimension
-    u, k, res = _cg(lambda f: -apply_generator(fld, f), g, x0, tol, maxiter,
+    u, k, res = _cg(lambda f: -apply_generator(fld, f), g, tol, _maxiter(fld),
                     project=True)
     return SolveReport(u, k, float(res), tol)
 
 
 def solve_resolvent(fld: BondField, g: np.ndarray, lam: float,
-                    tol: float = DEFAULT_TOL, maxiter: int | None = None,
-                    x0: np.ndarray | None = None) -> SolveReport:
+                    tol: float = DEFAULT_TOL) -> SolveReport:
     """Solve (lam - L) u = g; requires lam > 0 (operator nonsingular)."""
     if lam <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
-    if maxiter is None:
-        maxiter = 50 * fld.geometry.side * fld.dimension
-    u, k, res = _cg(lambda f: lam * f - apply_generator(fld, f), g, x0, tol, maxiter)
+    u, k, res = _cg(lambda f: lam * f - apply_generator(fld, f), g, tol,
+                    _maxiter(fld))
     return SolveReport(u, k, float(res), tol)
 
 

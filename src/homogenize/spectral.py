@@ -2,9 +2,11 @@
 
 The spectral measure of the local drift distributes its mean-square mass
 over the eigenmodes of -L; the effective quadratic form can then be read
-off as 2 mean(xi) |v|^2-type term minus 2 * integral of dweight / r.
-Everything here goes through a dense symmetric eigendecomposition and is a
-verification oracle, not a production path.
+off as the Voigt term 2 sum_i mean(xi_i) v_i^2 minus 2 * integral of
+dweight / r.  spectral_measure does the one dense symmetric
+eigendecomposition; diffusivity_via_spectrum and semigroup_moment read
+their values off the SpectralMeasure it returns.  This is a verification
+oracle, not a production path.
 """
 
 from __future__ import annotations
@@ -24,10 +26,15 @@ WEIGHT_CUTOFF = 1e-14    # relative weight below which an atom is dropped in 1/r
 
 @dataclass
 class SpectralMeasure:
-    """Atoms (eigenvalue, weight) of the drift's spectral measure."""
+    """Atoms (eigenvalue, weight) of the drift's spectral measure.
+
+    voigt is the Voigt term 2 sum_i mean(xi_i) v_i^2 of the same (fld, v),
+    an upper bound of (v, D_N v).
+    """
 
     eigenvalues: np.ndarray
     weights: np.ndarray
+    voigt: float
 
     @property
     def total_mass(self) -> float:
@@ -54,42 +61,35 @@ def spectral_measure(fld: BondField, v) -> SpectralMeasure:
     the drift is orthogonal to constants, so the kernel atom carries no
     mass beyond rounding.
     """
+    v = np.asarray(v, dtype=float)
     phi = local_drift(fld, v).reshape(-1)
     mat = dense_operator(fld)
     eigvals, vecs = np.linalg.eigh(mat)
     coeffs = vecs.T @ phi
     weights = coeffs ** 2 / phi.size
-    return SpectralMeasure(np.maximum(eigvals, 0.0), weights)
+    voigt = float(2.0 * sum(mean_rho(fld.rates[i]) * v[i] ** 2
+                            for i in range(fld.dimension)))
+    return SpectralMeasure(np.maximum(eigvals, 0.0), weights, voigt)
 
 
-def diffusivity_via_spectrum(fld: BondField, v,
-                             measure: SpectralMeasure | None = None) -> float:
+def diffusivity_via_spectrum(measure: SpectralMeasure) -> float:
     """(v, D_N v) from the spectral route.
 
-    2 sum_i mean(xi_i) v_i^2  -  2 sum over nonkernel atoms of weight / r.
-    Must match the corrector route to solver accuracy.  measure, if given,
-    must be spectral_measure(fld, v); it saves the eigendecomposition.
+    voigt  -  2 sum over nonkernel atoms of weight / r.
+    Must match the corrector route to solver accuracy.
     """
-    v = np.asarray(v, dtype=float)
-    meas = spectral_measure(fld, v) if measure is None else measure
-    cut = KERNEL_CUTOFF * max(meas.max_eigenvalue, 1.0)
-    keep = (meas.eigenvalues > cut) & \
-        (meas.weights > WEIGHT_CUTOFF * max(meas.total_mass, 1e-300))
-    drift_term = float((meas.weights[keep] / meas.eigenvalues[keep]).sum())
-    static = 2.0 * sum(mean_rho(fld.rates[i]) * v[i] ** 2 for i in range(fld.dimension))
-    return static - 2.0 * drift_term
+    cut = KERNEL_CUTOFF * max(measure.max_eigenvalue, 1.0)
+    keep = (measure.eigenvalues > cut) & \
+        (measure.weights > WEIGHT_CUTOFF * max(measure.total_mass, 1e-300))
+    drift_term = float((measure.weights[keep] / measure.eigenvalues[keep]).sum())
+    return measure.voigt - 2.0 * drift_term
 
 
-def semigroup_moment(fld: BondField, v, n: float,
-                     measure: SpectralMeasure | None = None) -> float:
-    """sum of weight * exp(-n * eigenvalue); total mass at n = 0.
-
-    measure, if given, must be spectral_measure(fld, v).
-    """
+def semigroup_moment(measure: SpectralMeasure, n: float) -> float:
+    """sum of weight * exp(-n * eigenvalue); total mass at n = 0."""
     if n < 0:
         raise ValueError(f"moment order must be nonnegative, got {n}")
-    meas = spectral_measure(fld, v) if measure is None else measure
-    return float((meas.weights * np.exp(-n * meas.eigenvalues)).sum())
+    return float((measure.weights * np.exp(-n * measure.eigenvalues)).sum())
 
 
 def semigroup_moment_mc(fld: BondField, v, n: float, walkers: int,
@@ -97,19 +97,15 @@ def semigroup_moment_mc(fld: BondField, v, n: float, walkers: int,
     """Monte Carlo estimate of the semigroup moment with standard error.
 
     Unbiased: average of drift(x0) * drift(X_n) over uniform start sites
-    and walk realizations on the torus.
+    and walk realizations on the torus.  At n = 0 the walkers do not move,
+    so the average is the drift's mean square over the start sites.
     """
     if walkers <= 0:
         raise ValueError(f"need a positive walker count, got {walkers}")
     if n < 0:
         raise ValueError(f"moment order must be nonnegative, got {n}")
     phi = local_drift(fld, v).reshape(-1)
-    if n == 0:
-        from .environment import rng_for
-        sites = rng_for(seed).integers(0, fld.geometry.volume, size=walkers)
-        y = phi[sites] ** 2
-    else:
-        _, start_sites, end_sites = walk_batch(fld, n, walkers, seed, start="uniform")
-        y = phi[start_sites] * phi[end_sites]
+    _, start_sites, end_sites = walk_batch(fld, n, walkers, seed, start="uniform")
+    y = phi[start_sites] * phi[end_sites]
     se = float(y.std(ddof=1) / np.sqrt(walkers)) if walkers > 1 else np.inf
     return float(y.mean()), se

@@ -5,8 +5,9 @@ x + e_i at rate xi_i(x) and to x - e_i at rate xi_i(x - e_i); holding times
 are exponential with the total incident rate.  Positions are tracked
 unwrapped on Z^d while rates are read off the periodized torus.
 
-Batches of walkers are advanced in lock-step numpy sweeps; the result is a
-pure function of (environment, horizon, walkers, seed).
+Batches of walkers start at the origin or at uniform torus sites and are
+advanced in lock-step numpy sweeps; the result is a pure function of
+(environment, horizon, walkers, seed, start).
 """
 
 from __future__ import annotations
@@ -32,16 +33,16 @@ class WalkConfig:
 
 
 def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
-               start: np.ndarray | str = "origin", jump_log: list | None = None
+               start: str = "origin", jump_log: list | None = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance a batch of independent walkers to time t.
 
-    start is "origin", "uniform" (uniform torus site) or an array of linear
-    site indices.  Returns (displacements, start_sites, end_sites) with
-    displacements unwrapped in Z^d and sites as linear indices.  With a
-    single walker, jump_log (a list) receives every jump as a dict
-    {"time", "site", "direction"}: site is the linear index before the jump
-    and direction in 0..2d-1 encodes +e_1, -e_1, +e_2, ...
+    start is "origin" or "uniform" (independent uniform torus sites, drawn
+    first from the seeded stream).  Returns (displacements, start_sites,
+    end_sites) with displacements unwrapped in Z^d and sites as linear
+    indices.  With a single walker, jump_log (a list) receives every jump
+    as a dict {"time", "site", "direction"}: site is the linear index before
+    the jump and direction in 0..2d-1 encodes +e_1, -e_1, +e_2, ...
     """
     if jump_log is not None and walkers != 1:
         raise ValueError(f"a jump log needs a single walker, got {walkers}")
@@ -51,17 +52,12 @@ def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
     moves = np.kron(np.eye(geom.dimension, dtype=np.int64), [[1], [-1]])
     cum = np.cumsum(st.table(), axis=1) / st.total[:, None]
     rng = rng_for(seed)
-    if isinstance(start, str):
-        if start == "origin":
-            pos = np.zeros(walkers, dtype=np.int64)
-        elif start == "uniform":
-            pos = rng.integers(0, geom.volume, size=walkers)
-        else:
-            raise ValueError(f"unknown start mode {start!r}")
+    if start == "origin":
+        pos = np.zeros(walkers, dtype=np.int64)
+    elif start == "uniform":
+        pos = rng.integers(0, geom.volume, size=walkers)
     else:
-        pos = np.asarray(start, dtype=np.int64).copy()
-        if pos.shape != (walkers,):
-            raise ValueError("start array must have one site per walker")
+        raise ValueError(f"unknown start mode {start!r}")
     start_sites = pos.copy()
     disp = np.zeros((walkers, geom.dimension), dtype=np.int64)
     clock = np.zeros(walkers)
@@ -96,8 +92,10 @@ def simulate_walk(fld: BondField, t: float, seed: int,
 
 
 def msd_estimate(fld: BondField, v, config: WalkConfig,
-                 start: np.ndarray | str = "origin") -> tuple[float, float]:
+                 start: str = "origin") -> tuple[float, float]:
     """Estimate (v, D_N v) as mean((X_t . v)^2) / t with its standard error.
+
+    start is "origin" or "uniform", as in walk_batch.
 
     The estimator carries an O(1/t) finite-horizon bias on top of the
     reported Monte Carlo error; pick t large enough that the bias is below

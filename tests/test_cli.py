@@ -181,9 +181,12 @@ def test_vector_length_mismatch_exits_2(tmp_path):
     ("spectral", {"spectral": {"n": -1}}, "spectral.n"),
     ("hamming", {"hamming": {"perturb_counts": []}}, "hamming.perturb_counts"),
     ("hamming", {"hamming": {"perturb_counts": [1000]}}, "1000 of the 32 bonds"),
+    ("diffusivity", {"solver": {"tol": -1}}, "solver.tol"),
+    ("diffusivity", {"solver": {"tol": 0}}, "solver.tol"),
 ], ids=["uniform_reversed", "constant_two_params", "N_list_decreasing",
         "N_list_repeated", "N_list_empty", "walk_t_zero", "spectral_n_negative",
-        "perturb_counts_empty", "perturb_counts_too_many"])
+        "perturb_counts_empty", "perturb_counts_too_many", "tol_negative",
+        "tol_zero"])
 def test_bad_config_values_exit_2_with_message(tmp_path, capsys, subcommand,
                                                extra, message):
     cfg = write_config(tmp_path, base_config(**extra))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from homogenize.diffusivity import effective_matrix, one_d_exact
+from homogenize.diffusivity import LP_EXPONENTS, effective_matrix, one_d_exact
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
-                                    sample_environment)
+                                    periodize, sample_environment)
 from homogenize.experiments import (CampaignConfig, concentration_study,
                                     config_hash, convergence_study,
                                     hamming_sensitivity, records_to_csv,
@@ -11,7 +11,7 @@ from homogenize.experiments import (CampaignConfig, concentration_study,
                                     run_campaign, surface_tension,
                                     summary_to_json)
 from homogenize.solver import ConvergenceError
-from homogenize.spectral import diffusivity_via_spectrum
+from homogenize.spectral import diffusivity_via_spectrum, spectral_measure
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
 
@@ -87,18 +87,25 @@ def test_campaign_rows_independent_of_replica_count():
     rows = {}
     for replicas in (4, 6):
         cfg = CampaignConfig(law, 2, (2, 4), replicas=replicas, master_seed=2)
-        lines = records_to_csv(run_campaign(cfg), cfg).splitlines()[1:]
+        records = run_campaign(cfg)
+        lines = records_to_csv(records, cfg).splitlines()[1:]
         rows[replicas] = [line for line in lines
                           if line.split(",")[0] in first_four]
     assert len(rows[4]) == 8
     assert rows[4] == rows[6]
+    # each Lp monitor is the max over the record's basis correctors
+    for rec in records:
+        big = sample_environment(law, TorusGeometry(2, 4), rec.seed)
+        diags = effective_matrix(periodize(big, rec.N), tol=cfg.tol).diagnostics
+        assert rec.diagnostics["lp_norms"] == {
+            p: max(d.lp_norms[p] for d in diags) for p in LP_EXPONENTS}
 
 
 def test_one_d_routes_cross_validate():
     fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(1, 4), 7)
     matrix = effective_matrix(fld).entries[0, 0]
     exact = one_d_exact(fld)
-    spectral = diffusivity_via_spectrum(fld, [1.0])
+    spectral = diffusivity_via_spectrum(spectral_measure(fld, [1.0]))
     assert abs(matrix - exact) <= 1e-8
     assert abs(spectral - exact) <= 1e-8
 

@@ -38,15 +38,21 @@ def test_total_mass_is_drift_mean_square():
 
 
 def test_diffusivity_via_spectrum_two_site():
-    assert diffusivity_via_spectrum(TWO_SITE, [1.0]) == pytest.approx(8 / 3)
+    meas = spectral_measure(TWO_SITE, [1.0])
+    assert diffusivity_via_spectrum(meas) == pytest.approx(8 / 3)
 
 
 def test_spectral_route_matches_corrector_route():
     for seed in range(10):
         fld = sample_environment(UNIFORM, TorusGeometry(2, 2), seed + 30)
-        quad = effective_quadratic(fld, [1.0, 0.0], tol=1e-12)
-        spec = diffusivity_via_spectrum(fld, [1.0, 0.0])
+        v = np.array([1.0, 0.0])
+        quad = effective_quadratic(fld, v, tol=1e-12)
+        meas = spectral_measure(fld, v)
+        spec = diffusivity_via_spectrum(meas)
         assert spec == pytest.approx(quad, rel=1e-8)
+        assert meas.voigt == 2.0 * sum(mean_rho(fld.rates[i]) * v[i] ** 2
+                                       for i in range(2))
+        assert spec <= meas.voigt
 
 
 def test_size_guard():
@@ -56,18 +62,20 @@ def test_size_guard():
 
 
 def test_semigroup_moment_values():
-    assert semigroup_moment(TWO_SITE, [1.0], 0.0) == pytest.approx(
+    meas = spectral_measure(TWO_SITE, [1.0])
+    assert semigroup_moment(meas, 0.0) == pytest.approx(
         mean_rho(local_drift(TWO_SITE, [1.0]) ** 2))
-    assert semigroup_moment(TWO_SITE, [1.0], 1.0) == pytest.approx(np.exp(-6))
-    assert semigroup_moment(TWO_SITE, [1.0], 50.0) <= 1e-100
+    assert semigroup_moment(meas, 1.0) == pytest.approx(np.exp(-6))
+    assert semigroup_moment(meas, 50.0) <= 1e-100
     with pytest.raises(ValueError):
-        semigroup_moment(TWO_SITE, [1.0], -1.0)
+        semigroup_moment(meas, -1.0)
 
 
 def test_semigroup_moment_completely_monotone():
     fld = sample_environment(UNIFORM, TorusGeometry(2, 2), 5)
     grid = np.arange(0.0, 5.5, 0.5)
-    vals = np.array([semigroup_moment(fld, [1.0, 0.0], n) for n in grid])
+    meas = spectral_measure(fld, [1.0, 0.0])
+    vals = np.array([semigroup_moment(meas, n) for n in grid])
     diff1 = np.diff(vals)
     diff2 = np.diff(diff1)
     assert np.all(diff1 <= 1e-15)
@@ -81,7 +89,7 @@ def test_semigroup_moment_mc_constant_environment():
 
 
 def test_semigroup_moment_mc_two_site():
-    exact = semigroup_moment(TWO_SITE, [1.0], 1.0)
+    exact = semigroup_moment(spectral_measure(TWO_SITE, [1.0]), 1.0)
     est, se = semigroup_moment_mc(TWO_SITE, [1.0], 1.0, walkers=100_000, seed=1)
     assert abs(est - exact) <= 3 * se
 
