@@ -7,9 +7,8 @@ to the smaller tori, which is what makes the successive differences
 decrease instead of drowning in replica noise.
 """
 
-import numpy as np
-
-from homogenize import CampaignConfig, DisorderLaw, convergence_study
+from homogenize import (CampaignConfig, DisorderLaw, convergence_study,
+                        run_campaign)
 
 law = DisorderLaw.two_point(0.5, 2.0, 0.5)
 target = 2.0 / law.mean_inverse()
@@ -17,7 +16,7 @@ print(f"two_point(1/2, 2, 1/2): infinite-volume D = {target}")
 
 config = CampaignConfig(law, dimension=1, N_list=(8, 16, 32, 64),
                         replicas=300, master_seed=0)
-study = convergence_study(config)
+study = convergence_study(config, run_campaign(config))
 
 print(f"\n{'N':>4} {'mean D_N':>10} {'95% CI':>10} {'|mean_N - mean_2N|':>20}")
 for row in study["table"]:

@@ -11,7 +11,7 @@ from .diffusivity import (EffectiveMatrix, corrector, effective_matrix,
                           effective_quadratic, identity_residuals, one_d_exact)
 from .spectral import (SpectralMeasure, diffusivity_via_spectrum,
                        semigroup_moment, semigroup_moment_mc, spectral_measure)
-from .walker import WalkConfig, annealed_msd, msd_estimate, simulate_walk
+from .walker import WalkConfig, annealed_msd, msd_estimate
 from .experiments import (CampaignConfig, concentration_study,
                           convergence_study, hamming_sensitivity,
                           resolvent_convergence, run_campaign, surface_tension)

@@ -20,14 +20,15 @@ import numpy as np
 from . import __version__
 from .environment import DisorderLaw, TorusGeometry, sample_environment
 from .diffusivity import effective_matrix
-from .solver import ConvergenceError, SizeGuardError
+from .solver import DEFAULT_TOL, ConvergenceError, SizeGuardError
 from .spectral import (diffusivity_via_spectrum, semigroup_moment,
                        semigroup_moment_mc, spectral_measure)
 from .walker import WalkConfig, msd_estimate
-from .experiments import (CampaignConfig, concentration_study, config_hash,
-                          convergence_study, hamming_sensitivity,
-                          records_to_csv, resolvent_convergence, run_campaign,
-                          summary_to_json, surface_tension)
+from .experiments import (DEFAULT_EPSILONS, DEFAULT_MAX_STEPS, CampaignConfig,
+                          concentration_study, config_hash, convergence_study,
+                          hamming_sensitivity, records_to_csv,
+                          resolvent_convergence, run_campaign, summary_to_json,
+                          surface_tension)
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -171,7 +172,7 @@ def _from_config(section: str, build, *args, **kwargs):
 def _common(config: dict):
     geom = _from_config("geometry", TorusGeometry, **config["geometry"])
     law = _from_config("law", DisorderLaw.from_json, config["law"])
-    tol = config.get("solver", {}).get("tol", 1e-10)
+    tol = config.get("solver", {}).get("tol", DEFAULT_TOL)
     vector = config.get("vector")
     v = np.asarray(vector, dtype=float) if vector is not None \
         else np.eye(geom.dimension)[0]
@@ -198,19 +199,21 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
     geom, law, tol, v = _common(config)
     seed = config["seed"]
     texts = {}  # file extension -> artifact text, written in this order
+    # campaigns sample their own replicas; every other subcommand one field
+    if subcommand not in ("converge", "concentrate"):
+        fld = sample_environment(law, geom, seed)
 
     if subcommand == "diffusivity":
-        fld = sample_environment(law, geom, seed)
         payload = {"effective_matrix": effective_matrix(fld, tol=tol).to_json()}
 
     elif subcommand in ("converge", "concentrate"):
         camp_cfg = _campaign_config(config, geom, law, tol)
         records = run_campaign(camp_cfg)
         if subcommand == "converge":
-            study = convergence_study(camp_cfg, records=records)
+            study = convergence_study(camp_cfg, records)
         else:
-            eps = tuple(config.get("campaign", {}).get("epsilons", (0.05, 0.1, 0.2)))
-            study = concentration_study(camp_cfg, epsilons=eps, records=records)
+            eps = tuple(config.get("campaign", {}).get("epsilons", DEFAULT_EPSILONS))
+            study = concentration_study(camp_cfg, records, epsilons=eps)
         texts["csv"] = records_to_csv(records, camp_cfg)
         payload = summary_to_json(study, camp_cfg, __version__)
 
@@ -220,9 +223,8 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
         if max(counts) > geom.bond_count:
             raise ConfigError(f"hamming: cannot perturb {max(counts)} of the "
                               f"{geom.bond_count} bonds")
-        fld = sample_environment(law, geom, seed)
-        result = hamming_sensitivity(fld, counts, ham.get("trials", 20),
-                                     tol=tol, law=law, seed=seed)
+        result = hamming_sensitivity(fld, counts, ham.get("trials", 20), law,
+                                     tol=tol, seed=seed)
         payload = {
             "pairs": [[f, d] for f, d in result["pairs"]],
             "medians": {str(k): val for k, val in result["medians"].items()},
@@ -231,7 +233,6 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
         }
 
     elif subcommand == "walk":
-        fld = sample_environment(law, geom, seed)
         walk = config.get("walk", {})
         wc = WalkConfig(walk.get("t", 100.0), walk.get("walkers", 10_000), seed=seed)
         est, se = msd_estimate(fld, v, wc, start=walk.get("start", "origin"))
@@ -239,7 +240,6 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
                    "t": wc.t, "walkers": wc.walkers}
 
     elif subcommand == "spectral":
-        fld = sample_environment(law, geom, seed)
         spec = config.get("spectral", {})
         meas = spectral_measure(fld, v)
         payload = {
@@ -259,14 +259,12 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
                     "estimate": est, "standard_error": se, "walkers": walkers}
 
     elif subcommand == "surface-tension":
-        fld = sample_environment(law, geom, seed)
-        max_steps = config.get("surface", {}).get("max_steps", 100_000)
+        max_steps = config.get("surface", {}).get("max_steps", DEFAULT_MAX_STEPS)
         sigma, quarter, residual = surface_tension(fld, v, tol=tol,
                                                    max_steps=max_steps)
         payload = {"sigma": sigma, "quarter_form": quarter, "residual": residual}
 
     elif subcommand == "resolvent":
-        fld = sample_environment(law, geom, seed)
         lambdas = config.get("resolvent", {}).get("lambdas", [1.0, 0.1, 0.01, 0.001])
         payload = {"table": resolvent_convergence(fld, v, lambdas, tol=tol)}
 

@@ -2,7 +2,7 @@
 
 (v, D_N v) is the energy 2 sum_i mean(xi_i w_i^2) of the corrected gradient
 w = v + grad chi, chi the corrector (effective_quadratic); identity_residuals
-checks the finite-volume identities on a solved corrector.
+checks the finite-volume identities on psi = grad chi of a solved corrector.
 
 Normalization: the homogeneous medium with rate a has effective matrix
 2a * Identity (the factor-2 convention of the mean-square-displacement
@@ -104,11 +104,10 @@ def _energy(xi: np.ndarray, w: np.ndarray) -> float:
     return 2.0 * sum(mean_rho(xi[i] * w[i] ** 2) for i in range(len(w)))
 
 
-def identity_residuals(fld: BondField, v, chi: np.ndarray) -> IdentityDiagnostics:
-    """Evaluate every finite-volume identity on a solved corrector."""
+def identity_residuals(fld: BondField, v, psi: np.ndarray) -> IdentityDiagnostics:
+    """Evaluate every finite-volume identity on psi = grad chi of a solved corrector."""
     v = np.asarray(v, dtype=float)
     xi = fld.rates
-    psi = grad(chi)
     d = fld.dimension
     w = _corrected(v, psi)
     flux = xi * w
@@ -171,8 +170,10 @@ def effective_matrix(fld: BondField, tol: float = DEFAULT_TOL) -> EffectiveMatri
     for j in range(d):
         rep = corrector(fld, eye[j], tol=tol)
         iterations += rep.iterations
-        diagnostics.append(identity_residuals(fld, eye[j], rep.solution))
-        corrected.append(_corrected(eye[j], grad(rep.solution)))
+        psi = grad(rep.solution)
+        diagnostics.append(identity_residuals(fld, eye[j], psi))
+        psi += eye[j].reshape((d,) + (1,) * d)  # in place: now e_j + grad chi_j
+        corrected.append(psi)
 
     fluxes = [fld.rates * w for w in corrected]
     quad = np.zeros((d, d))

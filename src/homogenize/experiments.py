@@ -21,8 +21,8 @@ import numpy as np
 from .environment import (BondField, DisorderLaw, TorusGeometry,
                           periodize, resample_bonds, rng_for,
                           sample_environment)
-from .operators import grad, local_drift, mean_rho, div_star
-from .diffusivity import (LP_EXPONENTS, corrector, effective_matrix,
+from .operators import grad, local_drift, div_star
+from .diffusivity import (LP_EXPONENTS, _energy, corrector, effective_matrix,
                           effective_quadratic)
 from .solver import DEFAULT_TOL, ConvergenceError, solve_resolvent
 
@@ -63,6 +63,10 @@ class ExperimentRecord:
     diagnostics: dict = field(default_factory=dict)
     iterations: int = 0
 
+
+# Defaults of concentration_study and surface_tension, which the CLI shares.
+DEFAULT_EPSILONS = (0.05, 0.1, 0.2)
+DEFAULT_MAX_STEPS = 100_000
 
 # How a record reduces each identity diagnostic over its basis correctors; the
 # same order is the CSV column order.  Each Lp norm reduces by max, exponent
@@ -109,36 +113,31 @@ def run_campaign(config: CampaignConfig) -> list[ExperimentRecord]:
 
 
 def convergence_study(config: CampaignConfig,
-                      records: list[ExperimentRecord] | None = None) -> dict:
-    """Monte Carlo means of D_N per torus size with normal CIs.
+                      records: list[ExperimentRecord]) -> dict:
+    """Monte Carlo means of D_N per torus size over run_campaign's records.
 
     The successive-difference column |mean_N - mean_2N| (max over entries)
     is the convergence proxy; CI halfwidths are 1.96 * sem.
     """
-    if records is None:
-        records = run_campaign(config)
     table = []
-    means = {}
     for n in config.N_list:
         block = np.stack([rec.entries for rec in records if rec.N == n])
         mean = block.mean(axis=0)
         sem = block.std(axis=0, ddof=1) / np.sqrt(block.shape[0])
-        means[n] = mean
         table.append({"N": n, "mean": mean, "ci_halfwidth": 1.96 * sem})
     for row, nxt in zip(table, table[1:]):
         row["diff_to_next"] = float(np.abs(row["mean"] - nxt["mean"]).max())
-    return {"records": records, "table": table, "means": means}
+    return {"table": table}
 
 
-def concentration_study(config: CampaignConfig, epsilons=(0.05, 0.1, 0.2),
-                        records: list[ExperimentRecord] | None = None) -> dict:
-    """Spread of D_N^{11} across replicas per torus size.
+def concentration_study(config: CampaignConfig,
+                        records: list[ExperimentRecord],
+                        epsilons=DEFAULT_EPSILONS) -> dict:
+    """Spread of D_N^{11} across run_campaign's replicas per torus size.
 
     Reports the empirical standard deviation, the tail frequency beyond
     each epsilon, and the fitted exponent of std ~ N^-exponent.
     """
-    if records is None:
-        records = run_campaign(config)
     table = []
     for n in config.N_list:
         vals = np.array([rec.entries[0, 0] for rec in records if rec.N == n])
@@ -155,21 +154,19 @@ def concentration_study(config: CampaignConfig, epsilons=(0.05, 0.1, 0.2),
     if len(table) >= 2 and np.all(stds > 0):
         slope = np.polyfit(np.log([row["N"] for row in table]), np.log(stds), 1)[0]
         exponent = float(-slope)
-    return {"records": records, "table": table, "decay_exponent": exponent}
+    return {"table": table, "decay_exponent": exponent}
 
 
 def hamming_sensitivity(fld: BondField, perturb_counts, trials: int,
-                        tol: float = DEFAULT_TOL,
-                        law: DisorderLaw | None = None, seed: int = 0) -> dict:
+                        law: DisorderLaw, tol: float = DEFAULT_TOL,
+                        seed: int = 0) -> dict:
     """Response of D_N^{11} to resampling a few bonds.
 
-    For each count, resamples that many uniformly chosen bonds and records
-    (hamming fraction, |delta D_N^{11}|) pairs; a log-log fit over the
-    nonzero pairs gives the reported exponent.  Only the decay to zero is a
-    contract; the true Hoelder exponent is not asserted.
+    For each count, resamples that many uniformly chosen bonds from law and
+    records (hamming fraction, |delta D_N^{11}|) pairs; a log-log fit over
+    the nonzero pairs gives the reported exponent.  Only the decay to zero
+    is a contract; the true Hoelder exponent is not asserted.
     """
-    if law is None:
-        raise ValueError("a disorder law for resampling must be provided")
     nbonds = fld.geometry.bond_count
     if max(perturb_counts) > nbonds:
         raise ValueError(f"cannot perturb more than {nbonds} bonds")
@@ -198,13 +195,14 @@ def hamming_sensitivity(fld: BondField, perturb_counts, trials: int,
 
 
 def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
-                    max_steps: int = 100_000) -> tuple[float, float, float]:
+                    max_steps: int = DEFAULT_MAX_STEPS) -> tuple[float, float, float]:
     """Tilting free energy per site, and its quarter-form cross-check.
 
     The energy  mean over sites of sum_i xi_i (v_i + grad_i f)^2  is
     minimized by projected Barzilai-Borwein gradient descent (mean removed
     every step), deliberately a different algorithm family from the
-    conjugate-gradient corrector route so the check is non-circular.
+    conjugate-gradient corrector route so the check is non-circular.  It
+    stops at gradient norm <= tol * initial norm, CG's relative rule.
     Returns (sigma, quarter_form, |sigma - quarter_form|).  If max_steps
     steps fall short, the ConvergenceError carries the final gradient norm
     relative to the initial one.
@@ -215,20 +213,16 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
     vol = fld.geometry.volume
     vgrid = v.reshape((d,) + (1,) * d)
 
-    def energy(f):
-        w = vgrid + grad(f)
-        return float(np.sum(xi * w * w)) / vol
-
     def gradient(f):
         g = (2.0 / vol) * div_star(xi * (vgrid + grad(f)))
         return g - g.mean()
 
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
-    gtol = 1e-8 * fld.ellipticity * max(np.linalg.norm(v), 1e-300)
     f = np.zeros(fld.geometry.grid_shape)
     g = gradient(f)
     gnorm = g0norm = np.linalg.norm(g)
+    gtol = tol * g0norm
     f_prev = g_prev = None
     for _ in range(max_steps):
         if gnorm <= gtol:
@@ -251,7 +245,8 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
         raise ConvergenceError(f"descent exhausted {max_steps} steps",
                                residual=float(gnorm / g0norm),
                                iterations=max_steps)
-    sigma = 0.5 * energy(f)
+    w = vgrid + grad(f)
+    sigma = 0.5 * (float(np.sum(xi * w * w)) / vol)
     quarter = 0.25 * effective_quadratic(fld, v, tol=tol)
     return sigma, quarter, abs(sigma - quarter)
 
@@ -270,9 +265,8 @@ def resolvent_convergence(fld: BondField, v, lam_list,
     for lam in lam_list:
         chi_lam = solve_resolvent(fld, phi, lam, tol=tol).solution
         delta = grad(chi_lam) - psi
-        disc = sum(mean_rho(fld.rates[i] * delta[i] ** 2)
-                   for i in range(fld.dimension))
-        rows.append({"lam": float(lam), "discrepancy": float(disc)})
+        rows.append({"lam": float(lam),
+                     "discrepancy": float(0.5 * _energy(fld.rates, delta))})
     return rows
 
 

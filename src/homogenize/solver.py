@@ -74,10 +74,10 @@ def _cg(op, b, tol, maxiter, project=False):
         if project:
             x -= x.mean()
             r -= r.mean()
-        res = np.linalg.norm(r)
+        rr_new = np.vdot(r, r).real
+        res = np.sqrt(rr_new)
         if res <= tol * normb:
             return x, k, res
-        rr_new = np.vdot(r, r).real
         p = r + (rr_new / rr) * p
         rr = rr_new
     raise ConvergenceError(

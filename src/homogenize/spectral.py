@@ -18,7 +18,7 @@ import numpy as np
 from .environment import BondField
 from .operators import local_drift, mean_rho
 from .solver import dense_operator
-from .walker import walk_batch
+from .walker import _mean_se, walk_batch
 
 KERNEL_CUTOFF = 1e-12    # relative eigenvalue below which a mode counts as kernel
 WEIGHT_CUTOFF = 1e-14    # relative weight below which an atom is dropped in 1/r sums
@@ -100,12 +100,6 @@ def semigroup_moment_mc(fld: BondField, v, n: float, walkers: int,
     and walk realizations on the torus.  At n = 0 the walkers do not move,
     so the average is the drift's mean square over the start sites.
     """
-    if walkers <= 0:
-        raise ValueError(f"need a positive walker count, got {walkers}")
-    if n < 0:
-        raise ValueError(f"moment order must be nonnegative, got {n}")
     phi = local_drift(fld, v).reshape(-1)
     _, start_sites, end_sites = walk_batch(fld, n, walkers, seed, start="uniform")
-    y = phi[start_sites] * phi[end_sites]
-    se = float(y.std(ddof=1) / np.sqrt(walkers)) if walkers > 1 else np.inf
-    return float(y.mean()), se
+    return _mean_se(phi[start_sites] * phi[end_sites])

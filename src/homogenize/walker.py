@@ -7,7 +7,8 @@ unwrapped on Z^d while rates are read off the periodized torus.
 
 Batches of walkers start at the origin or at uniform torus sites and are
 advanced in lock-step numpy sweeps; the result is a pure function of
-(environment, horizon, walkers, seed, start).
+(environment, horizon, walkers, seed, start).  walk_batch is the one walk
+entry point; with one walker it can also log every jump.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import BondField, rng_for
+from .environment import BondField, rng_for, sample_environment
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,10 @@ def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
     as a dict {"time", "site", "direction"}: site is the linear index before
     the jump and direction in 0..2d-1 encodes +e_1, -e_1, +e_2, ...
     """
+    if not t >= 0:
+        raise ValueError(f"horizon must be nonnegative, got {t}")
+    if walkers < 1:
+        raise ValueError(f"need at least one walker, got {walkers}")
     if jump_log is not None and walkers != 1:
         raise ValueError(f"a jump log needs a single walker, got {walkers}")
     geom = fld.geometry
@@ -80,15 +85,10 @@ def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
     return disp, start_sites, pos
 
 
-def simulate_walk(fld: BondField, t: float, seed: int,
-                  jump_log: list | None = None) -> np.ndarray:
-    """One walker started at the origin; returns the unwrapped displacement.
-
-    The same walk as walk_batch(fld, t, 1, seed), whose jump_log it passes on.
-    """
-    if t <= 0:
-        raise ValueError(f"horizon must be positive, got {t}")
-    return walk_batch(fld, t, 1, seed, jump_log=jump_log)[0][0]
+def _mean_se(y: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; the error is inf for one sample."""
+    se = float(y.std(ddof=1) / np.sqrt(y.size)) if y.size > 1 else np.inf
+    return float(y.mean()), se
 
 
 def msd_estimate(fld: BondField, v, config: WalkConfig,
@@ -103,9 +103,7 @@ def msd_estimate(fld: BondField, v, config: WalkConfig,
     """
     v = np.asarray(v, dtype=float)
     disp, _, _ = walk_batch(fld, config.t, config.walkers, config.seed, start=start)
-    y = (disp @ v) ** 2 / config.t
-    se = float(y.std(ddof=1) / np.sqrt(config.walkers)) if config.walkers > 1 else np.inf
-    return float(y.mean()), se
+    return _mean_se((disp @ v) ** 2 / config.t)
 
 
 def annealed_msd(law, geometry, v, config: WalkConfig, replicas: int
@@ -116,18 +114,13 @@ def annealed_msd(law, geometry, v, config: WalkConfig, replicas: int
     reported standard error is the spread of the per-replica estimates and
     therefore combines walker noise with environment noise.
     """
-    from .environment import sample_environment
-
     if replicas < 1:
         raise ValueError(f"need at least one replica, got {replicas}")
-    estimates = []
+    estimates = np.empty(replicas)
     for r in range(replicas):
         fld = sample_environment(law, geometry, seed=int(
             rng_for(config.seed, 0, r).integers(2 ** 63)))
         sub = WalkConfig(config.t, config.walkers,
                          seed=int(rng_for(config.seed, 1, r).integers(2 ** 63)))
-        estimates.append(msd_estimate(fld, v, sub)[0])
-    estimates = np.asarray(estimates)
-    if replicas == 1:
-        return float(estimates[0]), np.inf
-    return float(estimates.mean()), float(estimates.std(ddof=1) / np.sqrt(replicas))
+        estimates[r] = msd_estimate(fld, v, sub)[0]
+    return _mean_se(estimates)

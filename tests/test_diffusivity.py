@@ -116,7 +116,8 @@ def test_effective_matrix_consistency_and_bounds():
     assert mat.quadratic_form(v) == pytest.approx(direct, rel=1e-7)
     # the matrix path and the single-vector paths agree per basis vector
     for j, e_j in enumerate(np.eye(2)):
-        alone = identity_residuals(fld, e_j, corrector(fld, e_j, tol=TOL).solution)
+        alone = identity_residuals(
+            fld, e_j, grad(corrector(fld, e_j, tol=TOL).solution))
         assert mat.diagnostics[j] == alone
         assert mat.entries[j, j] == pytest.approx(
             effective_quadratic(fld, e_j, tol=TOL), rel=1e-12)
@@ -139,8 +140,8 @@ def test_one_d_exact_values():
 
 def test_identity_residuals_constant_environment():
     fld = sample_environment(DisorderLaw.constant(1.0), TorusGeometry(2, 2), 0)
-    chi = corrector(fld, [1.0, 0.0]).solution
-    diag = identity_residuals(fld, [1.0, 0.0], chi)
+    psi = grad(corrector(fld, [1.0, 0.0]).solution)
+    diag = identity_residuals(fld, [1.0, 0.0], psi)
     assert diag.orthogonality_residual <= 1e-12
     assert diag.curl_residual <= 1e-12
     assert diag.flux_divergence_residual <= 1e-12
@@ -152,7 +153,7 @@ def test_identity_residuals_two_site_constant_flux():
     psi = grad(chi)
     flux = TWO_SITE.rates[0] * (1.0 + psi[0])
     assert np.allclose(flux, 4 / 3)
-    diag = identity_residuals(TWO_SITE, [1.0], chi)
+    diag = identity_residuals(TWO_SITE, [1.0], psi)
     assert diag.flux_divergence_residual <= 1e-12
     assert diag.quadratic_linear_gap <= 1e-12
     assert diag.curl_residual == 0.0  # no mixed pairs in d = 1
@@ -165,8 +166,8 @@ def test_identity_residual_thresholds(d, N):
         fld = sample_environment(UNIFORM, TorusGeometry(d, N), seed + 60)
         v = rng_for(seed, d, 5).normal(size=d)
         vnorm = np.linalg.norm(v)
-        chi = corrector(fld, v, tol=TOL).solution
-        diag = identity_residuals(fld, v, chi)
+        psi = grad(corrector(fld, v, tol=TOL).solution)
+        diag = identity_residuals(fld, v, psi)
         assert diag.orthogonality_residual <= 100 * TOL * vnorm ** 2 * c
         assert diag.curl_residual <= 1e-12
         assert diag.flux_divergence_residual <= 100 * TOL * c * vnorm

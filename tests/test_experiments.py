@@ -34,7 +34,7 @@ def test_replica_seed_deterministic_and_distinct():
 
 def test_constant_law_campaign_is_exact():
     cfg = CampaignConfig(DisorderLaw.constant(1.5), 2, (2, 4), replicas=3)
-    study = convergence_study(cfg)
+    study = convergence_study(cfg, run_campaign(cfg))
     for row in study["table"]:
         assert np.allclose(row["mean"], 3.0 * np.eye(2), atol=1e-8)
         assert np.all(row["ci_halfwidth"] <= 1e-8)
@@ -54,7 +54,7 @@ def test_convergence_ci_matches_record_spread():
 
 def test_concentration_constant_law_degenerate():
     cfg = CampaignConfig(DisorderLaw.constant(1.0), 1, (2, 4), replicas=3)
-    study = concentration_study(cfg)
+    study = concentration_study(cfg, run_campaign(cfg))
     for row in study["table"]:
         assert row["std"] <= 1e-10
         assert all(f == 0.0 for f in row["tail_frequency"].values())
@@ -64,7 +64,7 @@ def test_concentration_constant_law_degenerate():
 def test_concentration_tail_monotone_in_epsilon():
     cfg = CampaignConfig(DisorderLaw.uniform(0.5, 2.0), 1, (2,),
                          replicas=16, master_seed=5)
-    study = concentration_study(cfg, epsilons=(0.01, 0.05, 0.2))
+    study = concentration_study(cfg, run_campaign(cfg), epsilons=(0.01, 0.05, 0.2))
     freqs = list(study["table"][0]["tail_frequency"].values())
     assert freqs == sorted(freqs, reverse=True)
 
@@ -119,7 +119,7 @@ def test_hamming_zero_effect_under_constant_law():
 
 
 def test_hamming_requires_law():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         hamming_sensitivity(TWO_SITE, (1,), trials=1)
 
 
@@ -165,6 +165,12 @@ def test_surface_tension_budget_exhaustion():
     assert residuals[1] == pytest.approx(residuals[0], rel=1e-9)
     with pytest.raises(ValueError):
         surface_tension(fld, [1.0, 0.0], max_steps=0)
+    # tol is the descent's relative stopping rule, not only the quarter form's
+    fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 4), 9)
+    loose, _, _ = surface_tension(fld, [1.0, 0.0], tol=1e-4)
+    tight, _, gap = surface_tension(fld, [1.0, 0.0], tol=1e-12)
+    assert loose != tight
+    assert gap <= 1e-12
 
 
 def test_resolvent_convergence_two_site_value():
@@ -192,7 +198,7 @@ def test_config_hash_stable_and_order_blind():
 def test_summary_to_json_round_trips():
     import json
     cfg = CampaignConfig(DisorderLaw.constant(1.0), 1, (2,), replicas=2)
-    study = convergence_study(cfg)
+    study = convergence_study(cfg, run_campaign(cfg))
     doc = summary_to_json(study, cfg, version="0.1.0")
     json.dumps(doc)
     assert doc["version"] == "0.1.0"

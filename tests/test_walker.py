@@ -3,9 +3,7 @@ import pytest
 
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     sample_environment, rng_for)
-from homogenize.diffusivity import effective_quadratic
-from homogenize.walker import (WalkConfig, annealed_msd, msd_estimate,
-                               simulate_walk, walk_batch)
+from homogenize.walker import WalkConfig, annealed_msd, msd_estimate, walk_batch
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
 
@@ -15,6 +13,11 @@ def test_walk_config_validation():
         WalkConfig(t=0.0, walkers=10)
     with pytest.raises(ValueError):
         WalkConfig(t=1.0, walkers=0)
+    fld = sample_environment(DisorderLaw.constant(1.0), TorusGeometry(1, 2), 0)
+    with pytest.raises(ValueError):
+        walk_batch(fld, -1.0, 10, seed=0)
+    with pytest.raises(ValueError):
+        walk_batch(fld, 1.0, 0, seed=0)
 
 
 def test_no_jump_probability_matches_exponential_law():
@@ -24,7 +27,7 @@ def test_no_jump_probability_matches_exponential_law():
     frozen = 0
     for w in range(walkers):
         log = []
-        simulate_walk(fld, t, seed=w, jump_log=log)
+        walk_batch(fld, t, 1, seed=w, jump_log=log)
         frozen += not log
     p = np.exp(-4 * a * t)
     se = np.sqrt(p * (1 - p) / walkers)
@@ -75,7 +78,7 @@ def test_batch_deterministic():
 def test_jump_log_reproduces_displacement():
     fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 2), 6)
     log = []
-    disp = simulate_walk(fld, 25.0, seed=13, jump_log=log)
+    disp = walk_batch(fld, 25.0, 1, seed=13, jump_log=log)[0][0]
     moves = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
     replayed = np.zeros(2, dtype=np.int64)
     site = 0
@@ -120,7 +123,6 @@ def test_single_walker_matches_reference_loop():
         for t in (0.3, 5.0):
             for seed in range(20):
                 disp = walk_batch(fld, t, 1, seed)[0][0]
-                assert np.array_equal(disp, simulate_walk(fld, t, seed))
                 assert np.array_equal(disp, _reference_walk(fld, t, seed))
 
 
