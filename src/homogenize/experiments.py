@@ -27,6 +27,10 @@ from .diffusivity import (LP_EXPONENTS, _energy, corrector, effective_matrix,
 from .solver import DEFAULT_TOL, ConvergenceError, solve_resolvent
 
 
+class TooManyBondsError(ValueError):
+    """More perturbed bonds requested than the torus has."""
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     law: DisorderLaw
@@ -169,7 +173,8 @@ def hamming_sensitivity(fld: BondField, perturb_counts, trials: int,
     """
     nbonds = fld.geometry.bond_count
     if max(perturb_counts) > nbonds:
-        raise ValueError(f"cannot perturb more than {nbonds} bonds")
+        raise TooManyBondsError(f"cannot perturb {max(perturb_counts)} of the "
+                                f"{nbonds} bonds")
     e1 = np.zeros(fld.dimension)
     e1[0] = 1.0
     base = effective_quadratic(fld, e1, tol=tol)

@@ -127,6 +127,24 @@ def test_effective_matrix_consistency_and_bounds():
     assert eigs.max() <= 2 * c + 1e-8
 
 
+@pytest.mark.parametrize("d,N", [(1, 8), (2, 4), (3, 2)])
+def test_voigt_reuss_window(d, N):
+    # 2 diag(1/mean(1/xi_i)) <= D_N <= 2 diag(mean xi_i) in the Loewner order
+    axes = tuple(range(1, d + 1))
+    for law in (DisorderLaw.uniform(0.2, 5.0), DisorderLaw.two_point(0.1, 10.0)):
+        for seed in range(4):
+            fld = sample_environment(law, TorusGeometry(d, N), seed)
+            reuss = np.diag(2.0 / np.mean(1.0 / fld.rates, axis=axes))
+            voigt = np.diag(2.0 * np.mean(fld.rates, axis=axes))
+            entries = effective_matrix(fld, tol=TOL).entries
+            slack = 1e-12 * np.abs(voigt).max()
+            assert np.linalg.eigvalsh(entries - reuss).min() >= -slack
+            assert np.linalg.eigvalsh(voigt - entries).min() >= -slack
+            if d == 1:
+                # the lower bound is the d = 1 closed form: equality
+                assert entries[0, 0] == pytest.approx(reuss[0, 0], rel=1e-12)
+
+
 def test_one_d_exact_values():
     assert one_d_exact(BondField(TorusGeometry(1, 1), 2.0,
                                  np.array([[2.0, 1.0]]))) == pytest.approx(8 / 3)

@@ -4,12 +4,12 @@ import pytest
 from homogenize.diffusivity import LP_EXPONENTS, effective_matrix, one_d_exact
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     periodize, sample_environment)
-from homogenize.experiments import (CampaignConfig, concentration_study,
-                                    config_hash, convergence_study,
-                                    hamming_sensitivity, records_to_csv,
-                                    replica_seed, resolvent_convergence,
-                                    run_campaign, surface_tension,
-                                    summary_to_json)
+from homogenize.experiments import (CampaignConfig, TooManyBondsError,
+                                    concentration_study, config_hash,
+                                    convergence_study, hamming_sensitivity,
+                                    records_to_csv, replica_seed,
+                                    resolvent_convergence, run_campaign,
+                                    surface_tension, summary_to_json)
 from homogenize.solver import ConvergenceError
 from homogenize.spectral import diffusivity_via_spectrum, spectral_measure
 
@@ -121,6 +121,11 @@ def test_hamming_zero_effect_under_constant_law():
 def test_hamming_requires_law():
     with pytest.raises(TypeError):
         hamming_sensitivity(TWO_SITE, (1,), trials=1)
+
+
+def test_hamming_rejects_too_many_bonds():
+    with pytest.raises(TooManyBondsError, match="cannot perturb 3 of the 2 bonds"):
+        hamming_sensitivity(TWO_SITE, (1, 3), trials=1, law=DisorderLaw.constant(1.0))
 
 
 def test_hamming_deltas_small_and_recorded():

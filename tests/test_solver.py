@@ -4,8 +4,9 @@ import pytest
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     rng_for, sample_environment)
 from homogenize.operators import grad, local_drift, mean_rho
-from homogenize.solver import (ConvergenceError, SizeGuardError, dense_operator,
-                               dense_solve, solve_poisson, solve_resolvent)
+from homogenize.solver import (ConvergenceError, SizeGuardError, _maxiter,
+                               dense_operator, dense_solve, solve_poisson,
+                               solve_resolvent)
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
 
@@ -71,6 +72,39 @@ def test_matches_dense_oracle(d, N):
         assert np.linalg.norm(u_cg - u_dense) <= 1e-8 * np.linalg.norm(u_dense)
 
 
+@pytest.mark.parametrize("d,N", [(1, 4), (2, 2), (3, 1)])
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 10.0])
+def test_resolvent_matches_dense(d, N, lam):
+    tol = 1e-12
+    for seed in range(3):
+        fld, g = random_instance(d, N, seed)
+        g += 0.5  # a constant part exercises the zero mode of the shifted symbol
+        u_cg = solve_resolvent(fld, g, lam, tol=tol).solution
+        mat = lam * np.eye(fld.geometry.volume) + dense_operator(fld)
+        u_dense = np.linalg.solve(mat, g.reshape(-1)).reshape(g.shape)
+        # ||u - u*|| <= ||r|| / lambda_min, and lambda_min = lam (constants)
+        bound = tol * np.linalg.norm(g) / lam
+        assert np.linalg.norm(u_cg - u_dense) <= bound + 1e-12 * np.linalg.norm(u_dense)
+
+
+@pytest.mark.parametrize("law,tori", [
+    (DisorderLaw.uniform(0.2, 5.0), [(2, 4), (2, 16), (2, 64), (3, 4), (3, 12)]),
+    (DisorderLaw.two_point(0.1, 10.0), [(2, 32)]),
+], ids=["uniform", "two_point"])
+def test_iterations_flat_in_n(law, tori):
+    tol = 1e-10
+    caps = set()
+    for d, N in tori:
+        fld = sample_environment(law, TorusGeometry(d, N), 5)
+        cap = _maxiter(fld, tol)
+        caps.add(cap)
+        for e_i in np.eye(d):
+            rep = solve_poisson(fld, local_drift(fld, e_i), tol=tol)
+            assert rep.iterations <= cap
+    # the cap depends on the ellipticity and tol only, not on N or d
+    assert len(caps) == 1
+
+
 def test_dense_operator_symmetric_exactly():
     fld, _ = random_instance(2, 2, 7)
     mat = dense_operator(fld)
@@ -85,7 +119,7 @@ def test_dense_guard():
 
 def test_iteration_cap_raises(monkeypatch):
     from homogenize import solver
-    monkeypatch.setattr(solver, "_maxiter", lambda fld: 2)
+    monkeypatch.setattr(solver, "_maxiter", lambda fld, tol: 2)
     fld, g = random_instance(2, 4, 17)
     residuals = []
     for scale in (1.0, 1000.0):
@@ -105,6 +139,12 @@ def test_nonpositive_tolerance_rejected():
             solve_poisson(TWO_SITE, g, tol=tol)
         with pytest.raises(ValueError):
             solve_resolvent(TWO_SITE, g, 1.0, tol=tol)
+
+
+def test_loose_tolerance_stops_after_one_step():
+    # tol >= 2c leaves no room in the CG bound; one step still runs
+    rep = solve_poisson(TWO_SITE, np.array([1.0, -1.0]), tol=10.0)
+    assert rep.iterations == 1
 
 
 def test_resolvent_to_poisson_limit():
