@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .diffusivity import effective_matrix
 from .solver import DEFAULT_TOL, ConvergenceError, SizeGuardError
 from .spectral import (diffusivity_via_spectrum, semigroup_moment,
                        semigroup_moment_mc, spectral_measure)
-from .walker import WalkConfig, msd_estimate
+from .walker import msd_estimate
 from .experiments import (DEFAULT_EPSILONS, DEFAULT_MAX_STEPS, CampaignConfig,
                           TooManyBondsError, concentration_study, config_hash,
                           convergence_study, hamming_sensitivity,
@@ -120,12 +121,24 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{text} is not a finite number")
+    return value
+
+
+def _json_value(text: str):
+    """json.loads that rejects NaN, +-Infinity and numbers that overflow."""
+    return json.loads(text, parse_float=_finite, parse_constant=_finite)
+
+
 def _parse_override(text: str):
     if "=" not in text:
         raise ConfigError(f"override {text!r} is not of the form key=value")
     key, raw = text.split("=", 1)
     try:
-        value = json.loads(raw)
+        value = _json_value(raw)
     except json.JSONDecodeError:
         value = raw
     return key.split("."), value
@@ -133,6 +146,8 @@ def _parse_override(text: str):
 
 def apply_overrides(config: dict, overrides) -> dict:
     """Apply dotted-path overrides (e.g. solver.tol=1e-8) after parsing."""
+    if not isinstance(config, dict):
+        raise ConfigError("config root is not an object")
     for text in overrides:
         path, value = _parse_override(text)
         node = config
@@ -149,7 +164,7 @@ def load_config(path: str, overrides=()) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file {path!r} does not exist")
     try:
-        config = json.loads(p.read_text())
+        config = _json_value(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     config = apply_overrides(config, overrides)
@@ -231,10 +246,11 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
 
     elif subcommand == "walk":
         walk = config.get("walk", {})
-        wc = WalkConfig(walk.get("t", 100.0), walk.get("walkers", 10_000), seed=seed)
-        est, se = msd_estimate(fld, v, wc, start=walk.get("start", "origin"))
+        t, walkers = walk.get("t", 100.0), walk.get("walkers", 10_000)
+        est, se = msd_estimate(fld, v, t, walkers, seed,
+                               start=walk.get("start", "origin"))
         payload = {"msd_estimate": est, "standard_error": se,
-                   "t": wc.t, "walkers": wc.walkers}
+                   "t": t, "walkers": walkers}
 
     elif subcommand == "spectral":
         spec = config.get("spectral", {})

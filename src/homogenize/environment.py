@@ -8,7 +8,6 @@ a pure function of (law, geometry, seed).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -199,8 +198,9 @@ class BondField:
 
     Rates are stored direction-major as an array of shape (d, 2N, ..., 2N);
     component i holds xi_i(x), the rate of the bond (x, x + e_i).  External
-    (JSON) order is site-major with direction fastest.  Instances are
-    immutable; the stencil is built on first use and cached.
+    order (sampling order and linear bond ids) is site-major with direction
+    fastest.  Instances are immutable; the stencil is built on first use and
+    cached.
     """
 
     geometry: TorusGeometry
@@ -236,38 +236,6 @@ class BondField:
     def flat_rates(self) -> np.ndarray:
         """Rates in external order: site-major, direction fastest."""
         return np.moveaxis(self.rates, 0, -1).reshape(-1)
-
-    def to_json(self, include_rates: bool = True, law: DisorderLaw | None = None,
-                seed: int | None = None) -> dict:
-        doc = {
-            "dimension": self.geometry.dimension,
-            "half_period": self.geometry.half_period,
-            "ellipticity": self.ellipticity,
-        }
-        if law is not None:
-            doc["law"] = law.to_json()
-        if seed is not None:
-            doc["seed"] = seed
-        if include_rates:
-            doc["rates"] = self.flat_rates().tolist()
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "BondField":
-        geom = TorusGeometry(doc["dimension"], doc["half_period"])
-        if "rates" in doc:
-            flat = np.asarray(doc["rates"], dtype=float)
-            rates = np.moveaxis(flat.reshape(geom.grid_shape + (geom.dimension,)), -1, 0)
-            return cls(geom, float(doc["ellipticity"]), rates)
-        law = DisorderLaw.from_json(doc["law"])
-        return sample_environment(law, geom, int(doc["seed"]))
-
-    def dumps(self, **kw) -> str:
-        return json.dumps(self.to_json(**kw))
-
-    @classmethod
-    def loads(cls, s: str) -> "BondField":
-        return cls.from_json(json.loads(s))
 
 
 class TorusStencil:
@@ -337,15 +305,6 @@ def periodize(fld: BondField, half_period: int) -> BondField:
     box = (slice(None),) + (slice(0, 2 * half_period),) * fld.dimension
     return BondField(TorusGeometry(fld.dimension, half_period),
                      fld.ellipticity, fld.rates[box].copy())
-
-
-def shift(fld: BondField, x) -> BondField:
-    """Translate the environment: returned rates are xi_i(. - x) mod 2N."""
-    if len(x) != fld.dimension:
-        raise GeometryMismatchError(f"shift vector {x} has wrong dimension")
-    shifted = np.roll(fld.rates, [int(c) for c in x],
-                      axis=tuple(range(1, fld.dimension + 1)))
-    return BondField(fld.geometry, fld.ellipticity, shifted)
 
 
 def hamming_distance(f1: BondField, f2: BondField) -> int:

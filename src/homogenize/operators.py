@@ -68,14 +68,3 @@ def local_drift(fld: BondField, v) -> np.ndarray:
 def mean_rho(f: np.ndarray) -> float:
     """Mean over sites, i.e. expectation under the uniform torus measure."""
     return float(f.mean())
-
-
-def dot(f: np.ndarray, g: np.ndarray) -> float:
-    """Unnormalized site (or bond) inner product."""
-    return float(np.vdot(f, g).real)
-
-
-def dirichlet_energy(fld: BondField, f: np.ndarray) -> float:
-    """<f, -L f> = sum over bonds of xi_i (grad_i f)^2."""
-    g = grad(f)
-    return float(np.sum(fld.rates * g * g))

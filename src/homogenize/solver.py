@@ -46,14 +46,6 @@ class SolveReport:
     solution: np.ndarray
     iterations: int
     residual_norm: float
-    tolerance_used: float
-
-    def to_json(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual_norm": self.residual_norm,
-            "tolerance_used": self.tolerance_used,
-        }
 
 
 def _maxiter(fld: BondField, tol: float) -> int:
@@ -142,7 +134,7 @@ def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL
             f"right side has nonzero mean {mean_rho(g):.3e}; the singular "
             "problem is only solvable on the zero-mean subspace")
     u, k, res = _cg(fld, g, 0.0, tol)
-    return SolveReport(u, k, float(res), tol)
+    return SolveReport(u, k, float(res))
 
 
 def solve_resolvent(fld: BondField, g: np.ndarray, lam: float,
@@ -151,7 +143,7 @@ def solve_resolvent(fld: BondField, g: np.ndarray, lam: float,
     if lam <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
     u, k, res = _cg(fld, g, lam, tol)
-    return SolveReport(u, k, float(res), tol)
+    return SolveReport(u, k, float(res))
 
 
 def dense_operator(fld: BondField) -> np.ndarray:

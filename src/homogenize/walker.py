@@ -8,49 +8,30 @@ unwrapped on Z^d while rates are read off the periodized torus.
 Batches of walkers start at the origin or at uniform torus sites and are
 advanced in lock-step numpy sweeps; the result is a pure function of
 (environment, horizon, walkers, seed, start).  walk_batch is the one walk
-entry point; with one walker it can also log every jump.
+entry point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .environment import BondField, rng_for, sample_environment
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    t: float
-    walkers: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError(f"horizon must be positive, got {self.t}")
-        if self.walkers < 1:
-            raise ValueError(f"need at least one walker, got {self.walkers}")
+from .environment import BondField, rng_for
 
 
 def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
-               start: str = "origin", jump_log: list | None = None
+               start: str = "origin"
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance a batch of independent walkers to time t.
 
     start is "origin" or "uniform" (independent uniform torus sites, drawn
     first from the seeded stream).  Returns (displacements, start_sites,
     end_sites) with displacements unwrapped in Z^d and sites as linear
-    indices.  With a single walker, jump_log (a list) receives every jump
-    as a dict {"time", "site", "direction"}: site is the linear index before
-    the jump and direction in 0..2d-1 encodes +e_1, -e_1, +e_2, ...
+    indices.
     """
-    if not t >= 0:
-        raise ValueError(f"horizon must be nonnegative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {t}")
     if walkers < 1:
         raise ValueError(f"need at least one walker, got {walkers}")
-    if jump_log is not None and walkers != 1:
-        raise ValueError(f"a jump log needs a single walker, got {walkers}")
     geom = fld.geometry
     st = fld.stencil
     # row k is the step of move k: +e_1, -e_1, +e_2, ...
@@ -76,9 +57,6 @@ def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
         if act.size:
             u = rng.random(act.size)
             choice = (u[:, None] > cum[pos[act]]).sum(axis=1)
-            if jump_log is not None:
-                jump_log.append({"time": clock[0], "site": int(pos[0]),
-                                 "direction": int(choice[0])})
             disp[act] += moves[choice]
             pos[act] = st.neighbors[pos[act], choice]
         active = act
@@ -91,7 +69,7 @@ def _mean_se(y: np.ndarray) -> tuple[float, float]:
     return float(y.mean()), se
 
 
-def msd_estimate(fld: BondField, v, config: WalkConfig,
+def msd_estimate(fld: BondField, v, t: float, walkers: int, seed: int = 0,
                  start: str = "origin") -> tuple[float, float]:
     """Estimate (v, D_N v) as mean((X_t . v)^2) / t with its standard error.
 
@@ -101,26 +79,8 @@ def msd_estimate(fld: BondField, v, config: WalkConfig,
     reported Monte Carlo error; pick t large enough that the bias is below
     the standard error.
     """
+    if not t > 0:
+        raise ValueError(f"horizon must be positive, got {t}")
     v = np.asarray(v, dtype=float)
-    disp, _, _ = walk_batch(fld, config.t, config.walkers, config.seed, start=start)
-    return _mean_se((disp @ v) ** 2 / config.t)
-
-
-def annealed_msd(law, geometry, v, config: WalkConfig, replicas: int
-                 ) -> tuple[float, float]:
-    """Average the quenched MSD estimate over fresh environments.
-
-    One fresh environment per replica (seeds split off config.seed); the
-    reported standard error is the spread of the per-replica estimates and
-    therefore combines walker noise with environment noise.
-    """
-    if replicas < 1:
-        raise ValueError(f"need at least one replica, got {replicas}")
-    estimates = np.empty(replicas)
-    for r in range(replicas):
-        fld = sample_environment(law, geometry, seed=int(
-            rng_for(config.seed, 0, r).integers(2 ** 63)))
-        sub = WalkConfig(config.t, config.walkers,
-                         seed=int(rng_for(config.seed, 1, r).integers(2 ** 63)))
-        estimates[r] = msd_estimate(fld, v, sub)[0]
-    return _mean_se(estimates)
+    disp, _, _ = walk_batch(fld, t, walkers, seed, start=start)
+    return _mean_se((disp @ v) ** 2 / t)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homogenize.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_SOLVER,
-                            apply_overrides, main)
+                            ConfigError, apply_overrides, load_config, main)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -155,6 +155,17 @@ def test_apply_overrides_parses_json_values():
     assert doc == {"a": {"b": [1, 2]}, "c": "hello", "d": 2.5}
 
 
+def test_non_finite_and_non_object_configs_are_config_errors(tmp_path):
+    cfg = write_config(tmp_path, base_config())
+    for text in ("walk.t=Infinity", "walk.t=-Infinity", "walk.t=1e400",
+                 "vector=[NaN,0]"):
+        with pytest.raises(ConfigError, match="is not a finite number"):
+            load_config(cfg, [text])
+    array_root = write_config(tmp_path, [], name="array.json")
+    with pytest.raises(ConfigError, match="root is not an object"):
+        load_config(array_root, ["seed=1"])
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path, base_config(
         law={"kind": "uniform", "params": [0.5, 2.0]}))
@@ -183,10 +194,12 @@ def test_vector_length_mismatch_exits_2(tmp_path):
     ("hamming", {"hamming": {"perturb_counts": [1000]}}, "1000 of the 32 bonds"),
     ("diffusivity", {"solver": {"tol": -1}}, "solver.tol"),
     ("diffusivity", {"solver": {"tol": 0}}, "solver.tol"),
+    ("diffusivity", {"solver": {"tol": float("nan")}}, "NaN is not a finite"),
+    ("walk", {"walk": {"t": float("nan")}}, "NaN is not a finite"),
 ], ids=["uniform_reversed", "constant_two_params", "N_list_decreasing",
         "N_list_repeated", "N_list_empty", "walk_t_zero", "spectral_n_negative",
         "perturb_counts_empty", "perturb_counts_too_many", "tol_negative",
-        "tol_zero"])
+        "tol_zero", "tol_nan", "walk_t_nan"])
 def test_bad_config_values_exit_2_with_message(tmp_path, capsys, subcommand,
                                                extra, message):
     cfg = write_config(tmp_path, base_config(**extra))

@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 from homogenize.environment import (BondField, DisorderLaw, GeometryMismatchError,
                                     SupportError, TorusGeometry, hamming_distance,
                                     periodize, resample_bonds, rng_for,
-                                    sample_environment, shift)
+                                    sample_environment)
 
 
 def test_geometry_invariants():
@@ -71,31 +69,6 @@ def test_law_mean_inverse():
         np.log(b / a) / (b - a))
 
 
-def test_shift_group_properties():
-    law = DisorderLaw.uniform(0.5, 2.0)
-    fld = sample_environment(law, TorusGeometry(2, 2), 3)
-    assert np.array_equal(shift(fld, (0, 0)).rates, fld.rates)
-    moved = shift(shift(fld, (1, 3)), (-1, -3))
-    assert np.array_equal(moved.rates, fld.rates)
-    assert np.array_equal(shift(fld, (4, 0)).rates, fld.rates)  # full period
-    # definition: shifted rates are xi(. - x)
-    sh = shift(fld, (1, 2))
-    assert sh.rate_at((1, 2), 0) == fld.rate_at((0, 0), 0)
-
-
-def test_shift_invariance_in_law():
-    # empirical mean of xi_1(0) vs the shifted field's, across seeds
-    law = DisorderLaw.uniform(0.5, 2.0)
-    g = TorusGeometry(2, 2)
-    vals, shifted = [], []
-    for seed in range(400):
-        fld = sample_environment(law, g, seed)
-        vals.append(fld.rate_at((0, 0), 0))
-        shifted.append(shift(fld, (1, 1)).rate_at((0, 0), 0))
-    se = np.std(vals, ddof=1) / np.sqrt(len(vals))
-    assert abs(np.mean(vals) - np.mean(shifted)) < 4 * np.sqrt(2) * se
-
-
 def test_hamming_distance_basics():
     law = DisorderLaw.uniform(0.5, 2.0)
     fld = sample_environment(law, TorusGeometry(2, 2), 9)
@@ -146,17 +119,6 @@ def test_periodize_restriction():
             assert small.rate_at(x, i) == big.rate_at(x, i)
     with pytest.raises(ValueError):
         periodize(small, 4)
-
-
-def test_json_round_trip_bit_exact():
-    law = DisorderLaw.uniform(0.5, 2.0)
-    fld = sample_environment(law, TorusGeometry(2, 2), 21)
-    doc = json.loads(fld.dumps(law=law, seed=21))
-    back = BondField.from_json(doc)
-    assert np.array_equal(back.rates, fld.rates)
-    # descriptor-only document resamples identically
-    slim = fld.to_json(include_rates=False, law=law, seed=21)
-    assert np.array_equal(BondField.from_json(slim).rates, fld.rates)
 
 
 def test_rng_streams_are_order_independent():

@@ -1,9 +1,14 @@
-"""Every imported name is used in the module that imports it.
+"""Every imported name is used, and every public library name has a caller.
 
 A plain ast walk over the package modules (the package __init__, which
 re-exports, is exempt), the tests and the demos.  A name counts as used when
 it appears as a bare name anywhere in the module, including as the base of
 an attribute chain or inside an annotation.
+
+The second check asks the same of the package's public module-level
+functions and classes, with the callers restricted to the package itself,
+the demos and the bench: a name that only tests read is library surface
+without a caller.
 """
 
 import ast
@@ -11,11 +16,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# Public names that only tests read, kept as reference oracles.
+TEST_ORACLES = {
+    "one_d_exact",       # the 1D closed form D = 2 / mean(1/xi) of the matrix
+    "hamming_distance",  # the resample_bonds contract: at most len(bonds) edits
+}
+
+
+def _package_files() -> list[Path]:
+    return [p for p in sorted((ROOT / "src" / "homogenize").glob("*.py"))
+            if p.name != "__init__.py"]
+
 
 def _checked_files() -> list[Path]:
-    package = [p for p in sorted((ROOT / "src" / "homogenize").glob("*.py"))
-               if p.name != "__init__.py"]
-    return package + sorted((ROOT / "tests").glob("*.py")) \
+    return _package_files() + sorted((ROOT / "tests").glob("*.py")) \
         + sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -51,3 +65,43 @@ def test_no_unused_imports():
     offenders = [f"{p.relative_to(ROOT)} {entry}" for p in files
                  for entry in unused_imports(p.read_text())]
     assert not offenders, "unused imports:\n" + "\n".join(offenders)
+
+
+def unused_public_names(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Public top-level defs and classes of package never used in callers.
+
+    package maps a module name to its source; a name is used when some
+    caller source holds it as a bare name or as an attribute.
+    """
+    used = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [f"{module}: {node.name}" for module, source in package.items()
+            for node in ast.parse(source).body
+            if isinstance(node, defs) and not node.name.startswith("_")
+            and node.name not in used]
+
+
+def test_unused_public_name_is_detected():
+    package = {"mod": "def used():\n    pass\n\n\ndef planted():\n    pass\n\n\n"
+                      "def _private():\n    pass\n\n\nclass Kept:\n    pass\n"}
+    callers = [package["mod"], "import mod\nmod.used()\nx: Kept\n"]
+    assert unused_public_names(package, callers) == ["mod: planted"]
+
+
+def test_public_names_have_non_test_callers():
+    package = {p.stem: p.read_text() for p in _package_files()}
+    callers = list(package.values()) + [
+        p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))
+        + sorted((ROOT / "bench").glob("*.py"))]
+    flagged = {entry.split(": ")[1]: entry
+               for entry in unused_public_names(package, callers)}
+    offenders = [entry for name, entry in flagged.items() if name not in TEST_ORACLES]
+    assert not offenders, "public names without a caller:\n" + "\n".join(offenders)
+    # an oracle that gains a caller leaves the exemption list
+    assert set(flagged) == TEST_ORACLES
