@@ -4,7 +4,8 @@ Subcommands: diffusivity, converge, concentrate, hamming, walk, spectral,
 surface-tension, resolvent.  Configs are validated against CONFIG_SCHEMA
 (unknown keys rejected) before any computation; dotted --set overrides are
 applied after file parsing.  Exit codes: 0 success, 2 config/schema
-violation, 3 solver non-convergence, 4 size-guard violation.
+violation, 3 solver non-convergence, 4 size-guard violation (a dense
+solve on a large torus, or a walk with too many walkers or jumps).
 """
 
 from __future__ import annotations
@@ -91,6 +92,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {"n": {"type": "number", "minimum": 0},
                            "walkers": {"type": "integer", "minimum": 1}},
+            "dependentRequired": {"walkers": ["n"]},
         },
         "hamming": {
             "type": "object",

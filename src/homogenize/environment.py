@@ -9,7 +9,6 @@ a pure function of (law, geometry, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -133,11 +132,6 @@ class DisorderLaw:
     def two_point(cls, a: float, b: float, p: float = 0.5) -> "DisorderLaw":
         return cls("two_point", (float(a), float(b), float(p)))
 
-    @classmethod
-    def discrete(cls, values, probs) -> "DisorderLaw":
-        return cls("discrete", tuple(float(v) for v in values),
-                   tuple(float(p) for p in probs))
-
     def support_bounds(self) -> tuple[float, float]:
         if self.kind == "constant":
             return self.params[0], self.params[0]
@@ -187,11 +181,6 @@ class DisorderLaw:
         return cls(d["kind"], tuple(d["params"]), tuple(d.get("probs", ())))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class BondField:
     """One environment realization: a conductance per (site, direction).
@@ -199,8 +188,8 @@ class BondField:
     Rates are stored direction-major as an array of shape (d, 2N, ..., 2N);
     component i holds xi_i(x), the rate of the bond (x, x + e_i).  External
     order (sampling order and linear bond ids) is site-major with direction
-    fastest.  Instances are immutable; the stencil is built on first use and
-    cached.
+    fastest.  Instances are immutable; move_table derives the per-site moves
+    of the walk from the rates.
     """
 
     geometry: TorusGeometry
@@ -220,61 +209,32 @@ class BondField:
         if r.min() < 1.0 / c - 1e-12 or r.max() > c + 1e-12:
             raise SupportError(
                 f"rates in [{r.min()}, {r.max()}] escape the window [1/{c}, {c}]")
-        object.__setattr__(self, "rates", _frozen(r))
+        r.flags.writeable = False
+        object.__setattr__(self, "rates", r)
 
     @property
     def dimension(self) -> int:
         return self.geometry.dimension
 
-    @cached_property
-    def stencil(self) -> "TorusStencil":
-        return TorusStencil(self)
-
     def rate_at(self, x, direction: int) -> float:
         return float(self.rates[(direction,) + self.geometry.wrap(x)])
 
-    def flat_rates(self) -> np.ndarray:
-        """Rates in external order: site-major, direction fastest."""
-        return np.moveaxis(self.rates, 0, -1).reshape(-1)
 
+def move_table(fld: BondField) -> tuple[np.ndarray, np.ndarray]:
+    """The moves of the walk out of every site: (rates, targets).
 
-class TorusStencil:
-    """The nearest-neighbour stencil of one bond field.
-
-    forward[i] is xi_i(x), the rate of the jump x -> x + e_i (the field's
-    rates themselves), and backward[i] is xi_i(x - e_i), the rate of the
-    jump x -> x - e_i; both have shape (d, 2N, ..., 2N).  Moves are
-    numbered +e_1, -e_1, +e_2, ...: table() holds their rates per site and
-    neighbors their target sites, both as (volume, 2d) arrays over linear
-    site indices.  total is the per-site holding rate, the sum of a site's
-    move rates.  neighbors and total are built on first use.
+    Moves are numbered +e_1, -e_1, +e_2, ...; the jump x -> x + e_i has rate
+    xi_i(x) and x -> x - e_i has rate xi_i(x - e_i).  Both arrays have shape
+    (volume, 2d), rows over linear site indices; targets holds linear sites.
     """
-
-    def __init__(self, fld: BondField):
-        xi = fld.rates
-        self.geometry = fld.geometry
-        self.forward = xi
-        self.backward = _frozen(np.stack([np.roll(xi[i], 1, axis=i)
-                                          for i in range(fld.dimension)]))
-
-    def table(self) -> np.ndarray:
-        return np.stack((self.forward, self.backward), axis=1).reshape(
-            2 * self.geometry.dimension, -1).T
-
-    @cached_property
-    def total(self) -> np.ndarray:
-        total = np.zeros(self.geometry.volume)
-        for rates in self.table().T:
-            total += rates
-        return _frozen(total)
-
-    @cached_property
-    def neighbors(self) -> np.ndarray:
-        geom = self.geometry
-        idx = np.arange(geom.volume).reshape(geom.grid_shape)
-        return _frozen(np.stack([np.roll(idx, step, axis=i)
-                                 for i in range(geom.dimension) for step in (-1, 1)],
-                                axis=-1).reshape(geom.volume, -1))
+    geom = fld.geometry
+    xi = fld.rates
+    idx = np.arange(geom.volume).reshape(geom.grid_shape)
+    rates = np.stack([r for i in range(geom.dimension)
+                      for r in (xi[i], np.roll(xi[i], 1, axis=i))], axis=-1)
+    targets = np.stack([np.roll(idx, step, axis=i)
+                        for i in range(geom.dimension) for step in (-1, 1)], axis=-1)
+    return rates.reshape(geom.volume, -1), targets.reshape(geom.volume, -1)
 
 
 def sample_environment(law: DisorderLaw, geometry: TorusGeometry, seed: int) -> BondField:
@@ -329,7 +289,6 @@ def resample_bonds(fld: BondField, bonds, law: DisorderLaw, seed: int) -> BondFi
     c = fld.ellipticity
     if lo < 1.0 / c - 1e-12 or hi > c + 1e-12:
         raise SupportError(f"law support [{lo}, {hi}] escapes the window [1/{c}, {c}]")
-    flat = fld.flat_rates().copy()
-    flat[bonds] = law.draw(rng_for(seed), bonds.shape)
-    grid = np.moveaxis(flat.reshape(fld.geometry.grid_shape + (fld.dimension,)), -1, 0)
-    return BondField(fld.geometry, c, grid)
+    site_major = np.moveaxis(fld.rates, 0, -1).copy()  # external bond order
+    site_major.reshape(-1)[bonds] = law.draw(rng_for(seed), bonds.shape)
+    return BondField(fld.geometry, c, np.moveaxis(site_major, -1, 0))

@@ -193,8 +193,8 @@ def hamming_sensitivity(fld: BondField, perturb_counts, trials: int,
     exponent = None
     if ok.sum() >= 2 and len(set(np.round(np.log(fracs[ok]), 12))) >= 2:
         exponent = float(np.polyfit(np.log(fracs[ok]), np.log(deltas[ok]), 1)[0])
-    medians = {int(c): float(np.median(deltas[np.isclose(fracs, c / nbonds)]))
-               for c in perturb_counts}
+    counts = np.repeat(perturb_counts, trials)
+    medians = {int(c): float(np.median(deltas[counts == c])) for c in perturb_counts}
     return {"pairs": pairs, "medians": medians, "exponent": exponent,
             "baseline": base}
 

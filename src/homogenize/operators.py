@@ -1,8 +1,10 @@
 """Discrete calculus on the torus and the environment generator, matrix-free.
 
 Scalar fields are arrays of shape (2N,)*d; vector fields carry a leading
-direction axis, shape (d, 2N, ..., 2N).  All wraps are periodic via np.roll;
-the rates xi_i(x) and xi_i(x - e_i) come from the field's cached stencil.
+direction axis, shape (d, 2N, ..., 2N).  All wraps are periodic via np.roll.
+The generator is applied in flux form straight from the field's rates: the
+flux across the bond (x, x + e_i) is xi_i(x) grad_i f(x), and L f = -div* of
+it, so no rolled copy of the rates is kept.
 
 Conventions (L is nonpositive definite, -L is the solver's operator):
     (grad_i f)(x)   = f(x + e_i) - f(x)
@@ -41,11 +43,12 @@ def _check(fld: BondField, f: np.ndarray):
 def apply_generator(fld: BondField, f: np.ndarray) -> np.ndarray:
     """L f for the given environment; exact zeros on constant f."""
     _check(fld, f)
-    st = fld.stencil
+    xi = fld.rates
     out = np.zeros_like(f)
     for i in range(f.ndim):
-        out += st.forward[i] * (np.roll(f, -1, axis=i) - f)
-        out += st.backward[i] * (np.roll(f, 1, axis=i) - f)
+        flux = xi[i] * (np.roll(f, -1, axis=i) - f)
+        out += flux
+        out -= np.roll(flux, 1, axis=i)
     return out
 
 
@@ -58,10 +61,10 @@ def local_drift(fld: BondField, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (fld.dimension,):
         raise ValueError(f"drift vector has shape {v.shape}, expected ({fld.dimension},)")
-    st = fld.stencil
+    xi = fld.rates
     out = np.zeros(fld.geometry.grid_shape)
     for i in range(fld.dimension):
-        out += v[i] * (st.forward[i] - st.backward[i])
+        out += v[i] * (xi[i] - np.roll(xi[i], 1, axis=i))
     return out
 
 

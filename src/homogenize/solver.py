@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import BondField
+from .environment import BondField, move_table
 from .operators import apply_generator, mean_rho
 
 DEFAULT_TOL = 1e-10
@@ -38,7 +38,7 @@ class ConvergenceError(RuntimeError):
 
 
 class SizeGuardError(ValueError):
-    """Dense path requested on a torus above the volume guard."""
+    """A dense solve or a walk above its size guard."""
 
 
 @dataclass
@@ -151,11 +151,12 @@ def dense_operator(fld: BondField) -> np.ndarray:
     geom = fld.geometry
     if geom.volume > DENSE_GUARD:
         raise SizeGuardError(f"volume {geom.volume} exceeds dense guard {DENSE_GUARD}")
-    st = fld.stencil
-    mat = np.diag(st.total)
-    # on a side-2 torus x + e_i and x - e_i coincide: both moves add up
+    rates, targets = move_table(fld)
     rows = np.repeat(np.arange(geom.volume), 2 * geom.dimension)
-    np.add.at(mat, (rows, st.neighbors.reshape(-1)), -st.table().reshape(-1))
+    mat = np.zeros((geom.volume, geom.volume))
+    np.add.at(mat, (rows, rows), rates.reshape(-1))
+    # on a side-2 torus x + e_i and x - e_i coincide: both moves add up
+    np.add.at(mat, (rows, targets.reshape(-1)), -rates.reshape(-1))
     return mat
 
 

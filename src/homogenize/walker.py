@@ -3,7 +3,7 @@
 Exact event-driven (Gillespie) simulation: at site x the walk jumps to
 x + e_i at rate xi_i(x) and to x - e_i at rate xi_i(x - e_i); holding times
 are exponential with the total incident rate.  Positions are tracked
-unwrapped on Z^d while rates are read off the periodized torus.
+unwrapped on Z^d while the moves are read off the torus's move table.
 
 Batches of walkers start at the origin or at uniform torus sites and are
 advanced in lock-step numpy sweeps; the result is a pure function of
@@ -15,7 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .environment import BondField, rng_for
+from .environment import BondField, move_table, rng_for
+from .solver import SizeGuardError
+
+MAX_WALKERS = 2 ** 24
+MAX_JUMPS = 2 ** 32   # bound on walkers * t * (largest holding rate)
 
 
 def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
@@ -26,17 +30,26 @@ def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
     start is "origin" or "uniform" (independent uniform torus sites, drawn
     first from the seeded stream).  Returns (displacements, start_sites,
     end_sites) with displacements unwrapped in Z^d and sites as linear
-    indices.
+    indices.  Raises SizeGuardError, before any walker state exists, above
+    MAX_WALKERS walkers or MAX_JUMPS expected jumps.
     """
     if not 0 <= t < np.inf:
         raise ValueError(f"horizon must be finite and nonnegative, got {t}")
     if walkers < 1:
         raise ValueError(f"need at least one walker, got {walkers}")
+    if walkers > MAX_WALKERS:
+        raise SizeGuardError(f"{walkers} walkers exceed the guard {MAX_WALKERS}")
     geom = fld.geometry
-    st = fld.stencil
+    rates, targets = move_table(fld)
+    cum = np.cumsum(rates, axis=1)
+    holding = cum[:, -1]
+    jumps = walkers * t * holding.max()
+    if jumps > MAX_JUMPS:
+        raise SizeGuardError(f"up to {jumps:.3g} expected jumps exceed the "
+                             f"guard {MAX_JUMPS}")
+    cum = cum / holding[:, None]
     # row k is the step of move k: +e_1, -e_1, +e_2, ...
-    moves = np.kron(np.eye(geom.dimension, dtype=np.int64), [[1], [-1]])
-    cum = np.cumsum(st.table(), axis=1) / st.total[:, None]
+    steps = np.kron(np.eye(geom.dimension, dtype=np.int64), [[1], [-1]])
     rng = rng_for(seed)
     if start == "origin":
         pos = np.zeros(walkers, dtype=np.int64)
@@ -50,15 +63,15 @@ def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
     active = np.arange(walkers)
     while active.size:
         p = pos[active]
-        dt = rng.standard_exponential(active.size) / st.total[p]
+        dt = rng.standard_exponential(active.size) / holding[p]
         clock[active] += dt
         alive = clock[active] <= t
         act = active[alive]
         if act.size:
             u = rng.random(act.size)
             choice = (u[:, None] > cum[pos[act]]).sum(axis=1)
-            disp[act] += moves[choice]
-            pos[act] = st.neighbors[pos[act], choice]
+            disp[act] += steps[choice]
+            pos[act] = targets[pos[act], choice]
         active = act
     return disp, start_sites, pos
 

@@ -125,6 +125,10 @@ def test_size_guard_exit_code(tmp_path):
     cfg = write_config(tmp_path, base_config(
         geometry={"dimension": 3, "half_period": 9}))
     assert run_cli("spectral", cfg, tmp_path) == EXIT_GUARD
+    cfg = write_config(tmp_path, base_config())
+    assert run_cli("walk", cfg, tmp_path,
+                   "--set", f"walk.walkers={10 ** 30}") == EXIT_GUARD
+    assert not (tmp_path / "out").exists()
 
 
 def test_solver_failure_exit_code(tmp_path):
@@ -190,6 +194,7 @@ def test_vector_length_mismatch_exits_2(tmp_path):
     ("converge", {"campaign": {"N_list": []}}, "campaign.N_list"),
     ("walk", {"walk": {"t": 0}}, "walk.t"),
     ("spectral", {"spectral": {"n": -1}}, "spectral.n"),
+    ("spectral", {"spectral": {"walkers": 100}}, "'n' is a dependency of 'walkers'"),
     ("hamming", {"hamming": {"perturb_counts": []}}, "hamming.perturb_counts"),
     ("hamming", {"hamming": {"perturb_counts": [1000]}}, "1000 of the 32 bonds"),
     ("diffusivity", {"solver": {"tol": -1}}, "solver.tol"),
@@ -198,6 +203,7 @@ def test_vector_length_mismatch_exits_2(tmp_path):
     ("walk", {"walk": {"t": float("nan")}}, "NaN is not a finite"),
 ], ids=["uniform_reversed", "constant_two_params", "N_list_decreasing",
         "N_list_repeated", "N_list_empty", "walk_t_zero", "spectral_n_negative",
+        "spectral_walkers_without_n",
         "perturb_counts_empty", "perturb_counts_too_many", "tol_negative",
         "tol_zero", "tol_nan", "walk_t_nan"])
 def test_bad_config_values_exit_2_with_message(tmp_path, capsys, subcommand,

@@ -56,7 +56,7 @@ def test_law_validation():
     with pytest.raises(SupportError):
         DisorderLaw.uniform(0.0, 1.0)
     with pytest.raises(ValueError):
-        DisorderLaw.discrete([1.0, 2.0], [0.7, 0.6])
+        DisorderLaw("discrete", (1.0, 2.0), (0.7, 0.6))
     with pytest.raises(ValueError):
         DisorderLaw("pareto", (1.0,))
 
@@ -107,6 +107,14 @@ def test_resample_bonds():
         resample_bonds(fld, [fld.geometry.bond_count], law, seed=0)
     with pytest.raises(SupportError):
         resample_bonds(fld, [0], DisorderLaw.constant(5.0), seed=0)
+    # external order: bond id b is direction b % d at linear site b // d
+    for d in (1, 2, 3):
+        geom = TorusGeometry(d, 4)
+        ones = BondField(geom, 2.0, np.ones((d,) + geom.grid_shape))
+        out = resample_bonds(ones, [7], DisorderLaw.constant(2.0), seed=0)
+        expected = np.ones_like(ones.rates)
+        expected[(7 % d,) + geom.site_coords(7 // d)] = 2.0
+        assert np.array_equal(out.rates, expected)
 
 
 def test_periodize_restriction():

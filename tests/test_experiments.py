@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from homogenize.diffusivity import LP_EXPONENTS, effective_matrix, one_d_exact
+from homogenize import experiments
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     periodize, sample_environment)
 from homogenize.experiments import (CampaignConfig, TooManyBondsError,
@@ -116,6 +117,18 @@ def test_hamming_zero_effect_under_constant_law():
     out = hamming_sensitivity(fld, perturb_counts=(1, 4), trials=2, law=law)
     assert all(delta <= 1e-8 for _, delta in out["pairs"])
     assert out["exponent"] is None
+
+
+def test_hamming_medians_group_by_exact_count(monkeypatch):
+    # 524,288 bonds: the fractions of 100000 and 100001 bonds agree to 1e-5
+    geom = TorusGeometry(2, 256)
+    ones = BondField(geom, 2.0, np.ones((2,) + geom.grid_shape))
+    # stand-in for D_N^{11}: the rate sum, which each resampled bond raises by 1
+    monkeypatch.setattr(experiments, "effective_quadratic",
+                        lambda fld, v, tol: float(fld.rates.sum()))
+    out = hamming_sensitivity(ones, (100_000, 100_001), trials=1,
+                              law=DisorderLaw.constant(2.0))
+    assert out["medians"] == {100_000: 100_000.0, 100_001: 100_001.0}
 
 
 def test_hamming_requires_law():

@@ -6,9 +6,10 @@ it appears as a bare name anywhere in the module, including as the base of
 an attribute chain or inside an annotation.
 
 The second check asks the same of the package's public module-level
-functions and classes, with the callers restricted to the package itself,
-the demos and the bench: a name that only tests read is library surface
-without a caller.
+functions and classes, and of the public methods of those classes, with the
+callers restricted to the package itself, the demos and the bench: a name
+that only tests read is library surface without a caller.  A method counts
+as used when its name appears as an attribute in some caller.
 """
 
 import ast
@@ -20,6 +21,10 @@ ROOT = Path(__file__).resolve().parents[1]
 TEST_ORACLES = {
     "one_d_exact",       # the 1D closed form D = 2 / mean(1/xi) of the matrix
     "hamming_distance",  # the resample_bonds contract: at most len(bonds) edits
+    # scalar site and bond lookups that the vectorized layouts are checked against
+    "TorusGeometry.site_index",   # coordinates -> linear site (move targets)
+    "TorusGeometry.site_coords",  # linear site -> coordinates (bond ids, sites)
+    "BondField.rate_at",          # one bond's rate (generator, move rates)
 }
 
 
@@ -68,30 +73,43 @@ def test_no_unused_imports():
 
 
 def unused_public_names(package: dict[str, str], callers: list[str]) -> list[str]:
-    """Public top-level defs and classes of package never used in callers.
+    """Public top-level defs and classes, and public methods, never used in callers.
 
-    package maps a module name to its source; a name is used when some
-    caller source holds it as a bare name or as an attribute.
+    package maps a module name to its source; a top-level name is used when
+    some caller source holds it as a bare name or as an attribute, a method
+    (listed as Class.method) when some caller holds it as an attribute.
     """
-    used = set()
+    names, attrs = set(), set()
     for source in callers:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [f"{module}: {node.name}" for module, source in package.items()
-            for node in ast.parse(source).body
-            if isinstance(node, defs) and not node.name.startswith("_")
-            and node.name not in used]
+                attrs.add(node.attr)
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, funcs + (ast.ClassDef,)) or node.name.startswith("_"):
+                continue
+            if node.name not in names | attrs:
+                out.append(f"{module}: {node.name}")
+            if isinstance(node, ast.ClassDef):
+                out += [f"{module}: {node.name}.{m.name}" for m in node.body
+                        if isinstance(m, funcs) and not m.name.startswith("_")
+                        and m.name not in attrs]
+    return out
 
 
 def test_unused_public_name_is_detected():
     package = {"mod": "def used():\n    pass\n\n\ndef planted():\n    pass\n\n\n"
-                      "def _private():\n    pass\n\n\nclass Kept:\n    pass\n"}
-    callers = [package["mod"], "import mod\nmod.used()\nx: Kept\n"]
-    assert unused_public_names(package, callers) == ["mod: planted"]
+                      "def _private():\n    pass\n\n\nclass Kept:\n"
+                      "    def called(self):\n        pass\n\n"
+                      "    def unused(self):\n        pass\n\n"
+                      "    def _helper(self):\n        pass\n"}
+    callers = [package["mod"], "import mod\nmod.used()\nx: Kept\nx.called()\n"
+               "unused = 1\n"]
+    assert unused_public_names(package, callers) == ["mod: planted", "mod: Kept.unused"]
 
 
 def test_public_names_have_non_test_callers():

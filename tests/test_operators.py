@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from homogenize.environment import (BondField, DisorderLaw, GeometryMismatchError,
-                                    TorusGeometry, rng_for, sample_environment)
+                                    TorusGeometry, move_table, rng_for,
+                                    sample_environment)
 from homogenize.operators import (apply_generator, div_star, grad, local_drift,
                                   mean_rho)
 from homogenize.solver import dense_operator
@@ -101,16 +102,20 @@ def test_stencil_consumers_agree(d, N):
     f = rng_for(31, d, N).normal(size=geom.grid_shape)
     # L f read off the model, site by site
     eye = np.eye(d, dtype=int)
+    rates, targets = move_table(fld)
     ref = np.zeros(geom.volume)
     for k in range(geom.volume):
         x = np.array(geom.site_coords(k))
+        moves = []  # (step, rate) in move order +e_1, -e_1, +e_2, ...
         for i in range(d):
-            for step, rate in ((eye[i], fld.rate_at(x, i)),
-                               (-eye[i], fld.rate_at(x - eye[i], i))):
-                ref[k] += rate * (f.flat[geom.site_index(x + step)] - f.flat[k])
+            moves += [(eye[i], fld.rate_at(x, i)), (-eye[i], fld.rate_at(x - eye[i], i))]
+        assert rates[k].tolist() == [rate for _, rate in moves]
+        assert targets[k].tolist() == [geom.site_index(x + s) for s, _ in moves]
+        for step, rate in moves:
+            ref[k] += rate * (f.flat[geom.site_index(x + step)] - f.flat[k])
     atol = 1e-13 * fld.ellipticity * np.abs(f).max()
     mat = dense_operator(fld)
     assert np.allclose(apply_generator(fld, f).reshape(-1), ref, rtol=0, atol=atol)
     assert np.allclose(mat @ f.reshape(-1), -ref, rtol=0, atol=atol)
     # the walker's holding rate is the diagonal of -L
-    assert np.array_equal(fld.stencil.total, np.diag(mat))
+    assert np.array_equal(np.cumsum(rates, axis=1)[:, -1], np.diag(mat))

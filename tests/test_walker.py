@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     sample_environment, rng_for)
-from homogenize.walker import msd_estimate, walk_batch
+from homogenize.solver import SizeGuardError
+from homogenize.walker import MAX_JUMPS, MAX_WALKERS, msd_estimate, walk_batch
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
 
@@ -17,6 +20,21 @@ def test_walk_config_validation():
         walk_batch(fld, 1.0, 0, seed=0)
     with pytest.raises(ValueError, match="horizon must be positive"):
         msd_estimate(fld, [1.0], 0.0, 10)
+
+
+def test_size_guards_refuse_before_any_walker_state():
+    fld = sample_environment(DisorderLaw.constant(1.0), TorusGeometry(2, 2), 0)
+    # holding rate 4: MAX_WALKERS walkers up to horizon MAX_JUMPS / (4 MAX_WALKERS)
+    cases = [(1.0, MAX_WALKERS + 1), (MAX_JUMPS / MAX_WALKERS, MAX_WALKERS)]
+    tracemalloc.start()
+    try:
+        for t, walkers in cases:
+            with pytest.raises(SizeGuardError):
+                walk_batch(fld, t, walkers, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # one int64 per walker alone would be 128 MiB
 
 
 def test_no_jump_probability_matches_exponential_law():
