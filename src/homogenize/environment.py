@@ -198,7 +198,7 @@ class BondField:
 
     def __post_init__(self):
         g = self.geometry
-        r = np.asarray(self.rates, dtype=float)
+        r = np.array(self.rates, dtype=float)  # a private copy: frozen below
         if r.shape != (g.dimension,) + g.grid_shape:
             raise ValueError(f"rates shape {r.shape} does not match geometry {g}")
         if not np.all(np.isfinite(r)):

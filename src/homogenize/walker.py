@@ -5,10 +5,14 @@ x + e_i at rate xi_i(x) and to x - e_i at rate xi_i(x - e_i); holding times
 are exponential with the total incident rate.  Positions are tracked
 unwrapped on Z^d while the moves are read off the torus's move table.
 
-Batches of walkers start at the origin or at uniform torus sites and are
-advanced in lock-step numpy sweeps; the result is a pure function of
-(environment, horizon, walkers, seed, start).  walk_batch is the one walk
-entry point.
+Batches of walkers start at the origin or at uniform torus sites.  Each
+numpy sweep advances the live set: the walkers whose clocks have not passed
+the horizon, kept compacted in ascending walker order.  A sweep draws one
+exponential per live walker and then one uniform per walker still before the
+horizon, both in walker order.  A walker whose clock passes the horizon is
+written out once, end site and displacement, and dropped from the live set.
+The result is a pure function of (environment, horizon, walkers, seed,
+start).  walk_batch is the one walk entry point.
 """
 
 from __future__ import annotations
@@ -47,9 +51,13 @@ def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
     if jumps > MAX_JUMPS:
         raise SizeGuardError(f"up to {jumps:.3g} expected jumps exceed the "
                              f"guard {MAX_JUMPS}")
-    cum = cum / holding[:, None]
-    # row k is the step of move k: +e_1, -e_1, +e_2, ...
-    steps = np.kron(np.eye(geom.dimension, dtype=np.int64), [[1], [-1]])
+    moves = rates.shape[1]
+    # inverse-CDF thresholds, one contiguous row per move but the last, whose
+    # threshold is exactly 1 > u
+    thresholds = np.ascontiguousarray((cum[:, :-1] / holding[:, None]).T)
+    # axis_step[i][k] is the step along axis i of move k: +e_1, -e_1, +e_2, ...
+    axis_step = np.kron(np.eye(geom.dimension, dtype=np.int64), [1, -1])
+    targets = targets.ravel()
     rng = rng_for(seed)
     if start == "origin":
         pos = np.zeros(walkers, dtype=np.int64)
@@ -57,23 +65,32 @@ def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
         pos = rng.integers(0, geom.volume, size=walkers)
     else:
         raise ValueError(f"unknown start mode {start!r}")
-    start_sites = pos.copy()
+    start_sites = pos   # the loop rebinds pos and never writes into it
     disp = np.zeros((walkers, geom.dimension), dtype=np.int64)
+    end_sites = np.empty_like(start_sites)
+    # the live set: walker ids, sites, clocks and (d, n) displacements
+    ids = np.arange(walkers)
     clock = np.zeros(walkers)
-    active = np.arange(walkers)
-    while active.size:
-        p = pos[active]
-        dt = rng.standard_exponential(active.size) / holding[p]
-        clock[active] += dt
-        alive = clock[active] <= t
-        act = active[alive]
-        if act.size:
-            u = rng.random(act.size)
-            choice = (u[:, None] > cum[pos[act]]).sum(axis=1)
-            disp[act] += steps[choice]
-            pos[act] = targets[pos[act], choice]
-        active = act
-    return disp, start_sites, pos
+    live_disp = np.zeros((geom.dimension, walkers), dtype=np.int64)
+    while ids.size:
+        clock += rng.standard_exponential(ids.size) / holding.take(pos)
+        alive = clock <= t
+        if not alive.all():
+            done = ~alive
+            end_sites[ids[done]] = pos[done]
+            disp[ids[done]] = live_disp[:, done].T
+            ids, pos, clock = ids[alive], pos[alive], clock[alive]
+            live_disp = live_disp[:, alive]
+            if not ids.size:
+                break
+        u = rng.random(ids.size)
+        choice = np.zeros(ids.size, dtype=np.int64)
+        for column in thresholds:
+            choice += u > column.take(pos)
+        for i in range(geom.dimension):
+            live_disp[i] += axis_step[i].take(choice)
+        pos = targets.take(pos * moves + choice)
+    return disp, start_sites, end_sites
 
 
 def _mean_se(y: np.ndarray) -> tuple[float, float]:

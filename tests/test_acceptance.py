@@ -135,7 +135,7 @@ def test_criterion_06_msd_consistency():
         worst_z = max(worst_z, abs(est - quad) / se)
     elapsed = time.monotonic() - start
     assert worst_z <= 3.0
-    assert elapsed < 120.0
+    assert elapsed < 60.0
     print(f"criterion 6 pass: MSD vs corrector, worst z {worst_z:.2f} "
           f"({elapsed:.1f}s)")
 

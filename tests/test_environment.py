@@ -50,6 +50,17 @@ def test_ellipticity_enforced_on_every_sample():
         assert fld.rates.min() >= 1 / c and fld.rates.max() <= c
 
 
+def test_field_freezes_a_private_copy_of_the_rates():
+    a = np.ones((1, 2))
+    fld = BondField(TorusGeometry(1, 1), 1.0, a)
+    assert a.flags.writeable
+    assert not fld.rates.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        fld.rates[0, 0] = 2.0
+    a[0, 0] = 2.0
+    assert np.array_equal(fld.rates, np.ones((1, 2)))
+
+
 def test_law_validation():
     with pytest.raises(SupportError):
         DisorderLaw.constant(-1.0)

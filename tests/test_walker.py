@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
-                                    sample_environment, rng_for)
+                                    move_table, rng_for, sample_environment)
 from homogenize.solver import SizeGuardError
 from homogenize.walker import MAX_JUMPS, MAX_WALKERS, msd_estimate, walk_batch
 
@@ -130,3 +130,53 @@ def test_walk_batch_end_sites_consistent_with_displacement():
         coords = np.array(fld.geometry.site_coords(start_sites[w]))
         expected = fld.geometry.site_index(tuple((coords + disp[w]) % side))
         assert end_sites[w] == expected
+
+
+def _lockstep_reference(fld, t, walkers, seed, start):
+    """The batch walk as full-size lock-step sweeps over the active walkers.
+
+    Draws the same random numbers in the same order as walk_batch and maps
+    them to moves the same way, but scatters every sweep into arrays over all
+    walkers.  Returns (displacements, start_sites, end_sites).
+    """
+    geom = fld.geometry
+    rates, targets = move_table(fld)
+    cum = np.cumsum(rates, axis=1)
+    holding = cum[:, -1]
+    cum = cum / holding[:, None]
+    steps = np.kron(np.eye(geom.dimension, dtype=np.int64), [[1], [-1]])
+    rng = rng_for(seed)
+    if start == "origin":
+        pos = np.zeros(walkers, dtype=np.int64)
+    else:
+        pos = rng.integers(0, geom.volume, size=walkers)
+    start_sites = pos.copy()
+    disp = np.zeros((walkers, geom.dimension), dtype=np.int64)
+    clock = np.zeros(walkers)
+    active = np.arange(walkers)
+    while active.size:
+        p = pos[active]
+        dt = rng.standard_exponential(active.size) / holding[p]
+        clock[active] += dt
+        alive = clock[active] <= t
+        act = active[alive]
+        if act.size:
+            u = rng.random(act.size)
+            choice = (u[:, None] > cum[pos[act]]).sum(axis=1)
+            disp[act] += steps[choice]
+            pos[act] = targets[pos[act], choice]
+        active = act
+    return disp, start_sites, pos
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batch_matches_lockstep_reference(d):
+    fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(d, 2), d)
+    for start in ("origin", "uniform"):
+        for t in (0.0, 0.3, 5.0, 40.0):
+            for walkers in (1, 7, 500):
+                seed = 100 * d + walkers
+                got = walk_batch(fld, t, walkers, seed, start=start)
+                want = _lockstep_reference(fld, t, walkers, seed, start)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
