@@ -17,7 +17,8 @@ import numpy as np
 
 from .environment import BondField, TorusGeometry
 from .operators import grad, div_star, local_drift, mean_rho
-from .solver import DEFAULT_TOL, SolveReport, solve_poisson
+from .solver import (DEFAULT_TOL, SolveReport, solve_poisson,
+                     solve_poisson_stream)
 
 LP_EXPONENTS = (2.0, 2.5, 3.0, 4.0)
 
@@ -149,32 +150,60 @@ def effective_quadratic(fld: BondField, v, tol: float = DEFAULT_TOL) -> float:
 
     Diagnostics are not computed here; identity_residuals gives them.
     """
+    return next(effective_quadratics([fld], v, tol=tol))
+
+
+def effective_quadratics(fields, v, tol: float = DEFAULT_TOL):
+    """effective_quadratic of each field of an iterable, in order.
+
+    The correctors are solved in stacks (solve_poisson_stream), and fields
+    are pulled only as the stacks need them.
+    """
     v = np.asarray(v, dtype=float)
-    chi = corrector(fld, v, tol=tol).solution
-    return _energy(fld.rates, _corrected(v, grad(chi)))
+    members = ((fld, local_drift(fld, v)) for fld in fields)
+    for fld, rep in solve_poisson_stream(members, tol=tol):
+        yield _energy(fld.rates, _corrected(v, grad(rep.solution)))
 
 
 def effective_matrix(fld: BondField, tol: float = DEFAULT_TOL) -> EffectiveMatrix:
-    """Assemble D_N from the d basis correctors.
+    """Assemble D_N from the d basis correctors, stacked up to STACK_SITES sites.
 
     With the corrected gradients w^j = e_j + grad chi_j and the fluxes
     xi w^j, entries[i, j] = 2 sum_k mean((xi w^i)_k w^j_k) (exactly
     symmetric); the linear identity gives the cross-check matrix
     2 mean((xi w^j)_i), symmetrized.
     """
-    d = fld.dimension
-    eye = np.eye(d)
-    corrected = []
-    diagnostics = []
-    iterations = 0
-    for j in range(d):
-        rep = corrector(fld, eye[j], tol=tol)
+    return next(effective_matrices([fld], tol=tol))
+
+
+def effective_matrices(fields, tol: float = DEFAULT_TOL):
+    """effective_matrix of each field of an iterable, in order.
+
+    The basis correctors of consecutive fields are solved together in stacks
+    (solve_poisson_stream), and fields are pulled only as the stacks need
+    them, so a long stream holds one stack's fields at a time.  Each
+    solution is dropped once its gradient is taken.
+    """
+    members = ((fld, local_drift(fld, e)) for fld in fields
+               for e in np.eye(fld.dimension))
+    corrected, diagnostics, iterations = [], [], 0
+    for fld, rep in solve_poisson_stream(members, tol=tol):
+        d = fld.dimension
+        e_j = np.eye(d)[len(corrected)]
         iterations += rep.iterations
         psi = grad(rep.solution)
-        diagnostics.append(identity_residuals(fld, eye[j], psi))
-        psi += eye[j].reshape((d,) + (1,) * d)  # in place: now e_j + grad chi_j
+        diagnostics.append(identity_residuals(fld, e_j, psi))
+        psi += e_j.reshape((d,) + (1,) * d)  # in place: now e_j + grad chi_j
         corrected.append(psi)
+        if len(corrected) == d:
+            yield _matrix(fld, corrected, diagnostics, iterations)
+            corrected, diagnostics, iterations = [], [], 0
 
+
+def _matrix(fld: BondField, corrected: list, diagnostics: list,
+            iterations: int) -> EffectiveMatrix:
+    """effective_matrix from the corrected gradients e_j + grad chi_j of fld."""
+    d = fld.dimension
     fluxes = [fld.rates * w for w in corrected]
     quad = np.zeros((d, d))
     linear = np.zeros((d, d))

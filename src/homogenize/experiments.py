@@ -2,10 +2,11 @@
 
 A campaign draws independent environments (one deterministic seed per
 replica, split off the master seed; each replica's environment is sampled
-once and periodized to every torus size, so successive sizes are positively
-coupled), computes the effective matrix for each, and aggregates.  A
-record depends only on its (N, replica) pair, and records are sorted by
-(N, replica) before any reduction, so aggregation is deterministic.
+on the largest torus and periodized to every torus size, so successive
+sizes are positively coupled), computes the effective matrix for each, and
+aggregates.  A record depends only on its (N, replica) pair, not on the
+replicas solved in the same stack, and records come in (N, replica) order,
+so aggregation is deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -22,8 +24,8 @@ from .environment import (BondField, DisorderLaw, TorusGeometry,
                           periodize, resample_bonds, rng_for,
                           sample_environment)
 from .operators import grad, local_drift, div_star
-from .diffusivity import (LP_EXPONENTS, _energy, corrector, effective_matrix,
-                          effective_quadratic)
+from .diffusivity import (LP_EXPONENTS, _energy, corrector, effective_matrices,
+                          effective_quadratic, effective_quadratics)
 from .solver import DEFAULT_TOL, ConvergenceError, solve_resolvent
 
 
@@ -90,29 +92,31 @@ def replica_seed(master_seed: int, replica: int) -> int:
 
 
 def run_campaign(config: CampaignConfig) -> list[ExperimentRecord]:
-    """Effective matrices for every (N, replica) pair, sorted.
+    """Effective matrices for every (N, replica) pair, in (N, replica) order.
 
     Each replica samples one environment on the largest torus and restricts
     it to the smaller sizes, so the per-replica family D_N is the periodized
-    sequence of a single environment and successive sizes are coupled.
+    sequence of a single environment and successive sizes are coupled.  The
+    sample is a pure function of the replica's seed, so it is drawn again
+    at every size; the matrices are computed in stacks of replicas
+    (effective_matrices), and only one stack's fields are held at a time.
     """
     geom = TorusGeometry(config.dimension, max(config.N_list))
+    seeds = [replica_seed(config.master_seed, r) for r in range(config.replicas)]
+    pairs = list(itertools.product(config.N_list, enumerate(seeds)))
+    fields = (periodize(sample_environment(config.law, geom, seed), n)
+              for n, (_, seed) in pairs)
     records = []
-    for r in range(config.replicas):
-        seed = replica_seed(config.master_seed, r)
-        big = sample_environment(config.law, geom, seed)
-        for n in config.N_list:
-            mat = effective_matrix(periodize(big, n), tol=config.tol)
-            diags = mat.diagnostics
-            reduced = {name: reduce(getattr(d, name) for d in diags)
-                       for name, reduce in DIAGNOSTIC_REDUCTIONS.items()}
-            lp_norms = {p: max(d.lp_norms[p] for d in diags) for p in LP_EXPONENTS}
-            records.append(ExperimentRecord(
-                N=n, replica=r, seed=seed, entries=mat.entries,
-                asymmetry=mat.asymmetry,
-                diagnostics={**reduced, "lp_norms": lp_norms},
-                iterations=mat.iterations))
-    records.sort(key=lambda rec: (rec.N, rec.replica))
+    for (n, (r, seed)), mat in zip(pairs, effective_matrices(fields, tol=config.tol)):
+        diags = mat.diagnostics
+        reduced = {name: reduce(getattr(d, name) for d in diags)
+                   for name, reduce in DIAGNOSTIC_REDUCTIONS.items()}
+        lp_norms = {p: max(d.lp_norms[p] for d in diags) for p in LP_EXPONENTS}
+        records.append(ExperimentRecord(
+            N=n, replica=r, seed=seed, entries=mat.entries,
+            asymmetry=mat.asymmetry,
+            diagnostics={**reduced, "lp_norms": lp_norms},
+            iterations=mat.iterations))
     return records
 
 
@@ -177,16 +181,20 @@ def hamming_sensitivity(fld: BondField, perturb_counts, trials: int,
                                 f"{nbonds} bonds")
     e1 = np.zeros(fld.dimension)
     e1[0] = 1.0
-    base = effective_quadratic(fld, e1, tol=tol)
-    pairs = []
-    for count in perturb_counts:
-        for trial in range(trials):
+    trials_run = [(count, trial) for count in perturb_counts
+                  for trial in range(trials)]
+
+    def perturbed():
+        for count, trial in trials_run:
             rng = rng_for(seed, count, trial)
             bonds = rng.choice(nbonds, size=count, replace=False)
-            perturbed = resample_bonds(fld, bonds, law,
-                                       seed=int(rng.integers(2 ** 63)))
-            val = effective_quadratic(perturbed, e1, tol=tol)
-            pairs.append((count / nbonds, abs(val - base)))
+            yield resample_bonds(fld, bonds, law, seed=int(rng.integers(2 ** 63)))
+
+    # the baseline and every perturbed field are solved in stacks
+    base, *values = effective_quadratics(itertools.chain([fld], perturbed()), e1,
+                                         tol=tol)
+    pairs = [(count / nbonds, abs(val - base))
+             for (count, _), val in zip(trials_run, values)]
     fracs = np.array([p[0] for p in pairs])
     deltas = np.array([p[1] for p in pairs])
     ok = (fracs > 0) & (deltas > 0)

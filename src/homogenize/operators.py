@@ -43,12 +43,22 @@ def _check(fld: BondField, f: np.ndarray):
 def apply_generator(fld: BondField, f: np.ndarray) -> np.ndarray:
     """L f for the given environment; exact zeros on constant f."""
     _check(fld, f)
-    xi = fld.rates
+    return generator(fld.rates, f)
+
+
+def generator(xi: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """L f in flux form from rates xi of shape (d, *lead, *grid).
+
+    The grid axes are the trailing d axes of f, so f may be one field
+    (shape grid) or a stack of fields (shape (B, *grid)) with xi[i] of
+    the same shape, each member with its own rates.
+    """
+    d = xi.shape[0]
     out = np.zeros_like(f)
-    for i in range(f.ndim):
-        flux = xi[i] * (np.roll(f, -1, axis=i) - f)
+    for i in range(d):
+        flux = xi[i] * (np.roll(f, -1, axis=i - d) - f)
         out += flux
-        out -= np.roll(flux, 1, axis=i)
+        out -= np.roll(flux, 1, axis=i - d)
     return out
 
 

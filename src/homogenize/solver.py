@@ -9,27 +9,41 @@ The iteration cap follows from c and tol alone.  The singular Poisson
 problem is solved on the zero-mean subspace: the preconditioner drops the
 zero mode, and the iterate and residual are re-projected (mean subtracted)
 every iteration to cure kernel drift from rounding.  The stopping rule is
-on the unpreconditioned residual, ||r|| <= tol ||g||.  The dense oracle
-assembles -L explicitly and applies an eigendecomposition-based
-pseudo-inverse; it is meant for small tori only.
+on the unpreconditioned residual, ||r|| <= tol ||g||.
+
+There is one CG path, and it solves a stack of members, each a (field,
+right side) pair on one torus: the FFT runs over the trailing grid axes,
+and the step sizes, stop test, cap and re-projection are per member, so a
+member's solution and iteration count do not depend on its stack-mates.
+solve_poisson and solve_resolvent are stacks of one; solve_poisson_stream
+cuts a stream of Poisson members into stacks of at most STACK_SITES sites.
+The dense oracle assembles -L explicitly and applies an
+eigendecomposition-based pseudo-inverse; it is meant for small tori only.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import BondField, move_table
-from .operators import apply_generator, mean_rho
+from .environment import BondField, GeometryMismatchError, move_table
+from .operators import generator, mean_rho
 
 DEFAULT_TOL = 1e-10
 DENSE_GUARD = 4096
+# Most sites solved as one stack.  Stacking amortizes numpy's per-call
+# overhead on small tori; the cap bounds the memory a stack adds to a few MB
+# whatever the member count.  A torus of this many sites or more is solved
+# one field at a time.
+STACK_SITES = 2 ** 13
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration cap exceeded; carries the last relative residual."""
+    """Iteration cap exceeded; carries the worst stalled member's last
+    relative residual and the cap."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -60,81 +74,122 @@ def _maxiter(fld: BondField, tol: float) -> int:
     return max(1, math.ceil(c * math.log(2.0 * c / tol)))
 
 
-def _preconditioner(fld: BondField, lam: float):
-    """r -> (lam + a (-Delta))^+ r by one FFT round trip over the grid axes.
+def _inverse_symbols(fields, lam: float) -> np.ndarray:
+    """(lam + a (-Delta))^+ of each field as an rfftn symbol, shape (B, *half grid).
 
-    a is the geometric-mean rate and -Delta the torus Laplacian, whose
-    symbol is sum_i (2 - 2 cos k_i).  At lam = 0 the zero mode maps to 0,
-    so the result is mean-zero.
+    a is the field's geometric-mean rate and -Delta the torus Laplacian, whose
+    symbol is sum_i (2 - 2 cos k_i).  At lam = 0 the zero mode maps to 0, so
+    a preconditioned field is mean-zero.
     """
-    shape = fld.geometry.grid_shape
-    side = fld.geometry.side
-    axes = tuple(range(fld.dimension))
+    geom = fields[0].geometry
+    side, d = geom.side, geom.dimension
     w = 4.0 * np.sin(np.pi * np.arange(side) / side) ** 2   # 2 - 2 cos k
     # rfftn keeps the nonnegative frequencies of the last axis only
-    laplacian = sum(np.ix_(*([w] * (fld.dimension - 1) + [w[:side // 2 + 1]])))
-    sigma = lam + float(np.exp(np.log(fld.rates).mean())) * laplacian
-    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
-    return lambda r: np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv, s=shape,
-                                   axes=axes)
+    laplacian = sum(np.ix_(*([w] * (d - 1) + [w[:side // 2 + 1]])))
+    a = np.array([float(np.exp(np.log(f.rates).mean())) for f in fields])
+    sigma = lam + a.reshape((-1,) + (1,) * d) * laplacian
+    return np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
 
 
-def _cg(fld: BondField, b: np.ndarray, lam: float, tol: float):
-    """Preconditioned CG from zero for (lam - L) u = b.
+def _cg(fields, b: np.ndarray, lam: float, tol: float):
+    """Preconditioned CG from zero for (lam - L_b) u_b = b[b], one member per field.
 
-    lam = 0 is the singular Poisson problem, kept on the mean-zero subspace.
+    b stacks the right sides, shape (B, *grid).  Every member runs the
+    one-field recurrence with its own alpha, beta, stop test, cap and mean
+    re-projection; dots and means reduce each member's row alone, so its
+    iterates are those of a solve on its own.  A member is written out (a
+    view of the live iterate, no copy) when it converges and dropped from
+    the live set.  lam = 0 is the singular Poisson problem, kept on the
+    mean-zero subspace.  Returns the list of solutions, the iteration
+    counts and the residual norms, one entry per member.
     """
     if not tol > 0:
         raise ValueError(f"solver tolerance must be positive, got {tol}")
-    maxiter = _maxiter(fld, tol)
-    normb = np.linalg.norm(b)
-    if normb == 0.0:
-        return np.zeros_like(b), 0, 0.0
+    shape = b.shape[1:]
+    if {f.geometry.grid_shape for f in fields} != {shape}:
+        raise GeometryMismatchError(
+            f"right sides of shape {shape} do not match every field's torus")
+    d = len(shape)
+    axes = tuple(range(-d, 0))
+    col = (-1,) + (1,) * d   # a per-member scalar, broadcast over its grid
 
-    def op(f):
-        out = -apply_generator(fld, f)
-        if lam:
-            out += lam * f
-        return out
+    def dot(u, v):
+        return np.vecdot(u.reshape(len(u), -1), v.reshape(len(v), -1))
 
-    precond = _preconditioner(fld, lam)
-    x = np.zeros_like(b)
-    r = b.copy()
+    def center(u):
+        u -= u.reshape(len(u), -1).mean(axis=1).reshape(col)
+
+    iterations = np.zeros(len(b), dtype=int)
+    residuals = np.zeros(len(b))
+    normb = np.sqrt(dot(b, b))
+    # a zero right side has solution 0
+    solutions = [None if n else np.zeros(shape) for n in normb]
+    live = np.flatnonzero(normb > 0)
+    if not live.size:
+        return solutions, iterations, residuals
+    members = [fields[i] for i in live]
+    caps = np.array([_maxiter(f, tol) for f in members])
+    # a stack of one reads its field's rates in place, without a copy
+    xi = (members[0].rates[:, None] if len(members) == 1
+          else np.stack([f.rates for f in members], axis=1))
+    inv = _inverse_symbols(members, lam)
+    normb = normb[live]
+    x = np.zeros((live.size,) + shape)
+    r = b[live]
     if not lam:
-        r -= r.mean()
-    z = precond(r)
+        center(r)
+    z = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv, s=shape, axes=axes)
     p = z.copy()
-    rz = np.vdot(r, z).real
-    for k in range(1, maxiter + 1):
-        ap = op(p)
-        alpha = rz / np.vdot(p, ap).real
+    rz = dot(r, z)
+    for k in itertools.count(1):
+        ap = -generator(xi, p)
+        if lam:
+            ap += lam * p
+        alpha = (rz / dot(p, ap)).reshape(col)
         x += alpha * p
         r -= alpha * ap
         if not lam:
-            x -= x.mean()
-            r -= r.mean()
-        res = np.linalg.norm(r)
-        if res <= tol * normb:
-            return x, k, res
-        z = precond(r)
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
+            center(x)
+            center(r)
+        res = np.sqrt(dot(r, r))
+        done = res <= tol * normb
+        if done.any():
+            for j in np.flatnonzero(done):
+                solutions[live[j]] = x[j]
+            iterations[live[done]] = k
+            residuals[live[done]] = res[done]
+            keep = ~done
+            if not keep.any():
+                return solutions, iterations, residuals
+            live, x, r, p, rz, res, normb, caps, inv = (
+                a[keep] for a in (live, x, r, p, rz, res, normb, caps, inv))
+            xi = xi[:, keep]
+        stalled = caps <= k
+        if stalled.any():
+            worst = float((res[stalled] / normb[stalled]).max())
+            raise ConvergenceError(
+                f"CG did not reach tol {tol} in {k} iterations "
+                f"(last relative residual {worst:.3e})", worst, k)
+        z = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv, s=shape, axes=axes)
+        rz_new = dot(r, z)
+        p = z + (rz_new / rz).reshape(col) * p
         rz = rz_new
-    raise ConvergenceError(
-        f"CG did not reach tol {tol} in {maxiter} iterations "
-        f"(last relative residual {res / normb:.3e})", res / normb, maxiter)
 
 
-def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL
-                  ) -> SolveReport:
-    """Solve -L u = g for zero-mean u; g must be orthogonal to constants."""
+def _check_mean(g: np.ndarray):
     norm_g = np.linalg.norm(g)
     if abs(g.sum() / g.size) > 1e-12 * max(norm_g, 1.0):
         raise ValueError(
             f"right side has nonzero mean {mean_rho(g):.3e}; the singular "
             "problem is only solvable on the zero-mean subspace")
-    u, k, res = _cg(fld, g, 0.0, tol)
-    return SolveReport(u, k, float(res))
+
+
+def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL
+                  ) -> SolveReport:
+    """Solve -L u = g for zero-mean u; g must be orthogonal to constants."""
+    _check_mean(g)
+    u, k, res = _cg([fld], g[None], 0.0, tol)
+    return SolveReport(u[0], int(k[0]), float(res[0]))
 
 
 def solve_resolvent(fld: BondField, g: np.ndarray, lam: float,
@@ -142,8 +197,44 @@ def solve_resolvent(fld: BondField, g: np.ndarray, lam: float,
     """Solve (lam - L) u = g; requires lam > 0 (operator nonsingular)."""
     if lam <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
-    u, k, res = _cg(fld, g, lam, tol)
-    return SolveReport(u, k, float(res))
+    u, k, res = _cg([fld], g[None], lam, tol)
+    return SolveReport(u[0], int(k[0]), float(res[0]))
+
+
+def _solve_stack(stack, tol: float) -> list:
+    if len(stack) == 1:
+        # a stack of one is solve_poisson itself, so every solve on a torus
+        # of STACK_SITES sites or more stays a solve_poisson call
+        fld, g = stack[0]
+        return [(fld, solve_poisson(fld, g, tol))]
+    for _, g in stack:
+        _check_mean(g)
+    fields = [fld for fld, _ in stack]
+    u, k, res = _cg(fields, np.stack([g for _, g in stack]), 0.0, tol)
+    return [(fld, SolveReport(u[i], int(k[i]), float(res[i])))
+            for i, fld in enumerate(fields)]
+
+
+def solve_poisson_stream(members, tol: float = DEFAULT_TOL):
+    """Yield (fld, solve_poisson(fld, g)) for each (fld, g) of an iterable, in order.
+
+    Consecutive members on one torus are solved as one stack of at most
+    STACK_SITES sites (at least one member).  Members are pulled one stack
+    at a time, so memory is bounded by the cap, not by the member count, and
+    each report is bit for bit the one a solve on its own gives.
+    """
+    stack = []
+    for member in members:
+        if stack and member[1].shape != stack[0][1].shape:
+            yield from _solve_stack(stack, tol)
+            stack = []
+        stack.append(member)
+        del member   # the stream holds no right side while a report is used
+        if len(stack) >= max(1, STACK_SITES // stack[0][1].size):
+            reports, stack = _solve_stack(stack, tol), []
+            yield from reports
+    if stack:
+        yield from _solve_stack(stack, tol)
 
 
 def dense_operator(fld: BondField) -> np.ndarray:

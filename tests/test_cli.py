@@ -139,6 +139,19 @@ def test_solver_failure_exit_code(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("subcommand,section", [
+    ("converge", {"campaign": {"N_list": [2, 4], "replicas": 3}}),
+    ("hamming", {"hamming": {"perturb_counts": [1, 2], "trials": 3}}),
+])
+def test_stalled_stack_exit_code(tmp_path, monkeypatch, subcommand, section):
+    from homogenize import solver
+    monkeypatch.setattr(solver, "_maxiter", lambda fld, tol: 1)
+    cfg = write_config(tmp_path, base_config(
+        law={"kind": "uniform", "params": [0.5, 2.0]}, **section))
+    assert run_cli(subcommand, cfg, tmp_path) == EXIT_SOLVER
+    assert not (tmp_path / "out").exists()
+
+
 def test_dotted_overrides(tmp_path):
     cfg = write_config(tmp_path, base_config())
     assert run_cli("diffusivity", cfg, tmp_path,

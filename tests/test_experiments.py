@@ -11,7 +11,8 @@ from homogenize.experiments import (CampaignConfig, TooManyBondsError,
                                     records_to_csv, replica_seed,
                                     resolvent_convergence, run_campaign,
                                     surface_tension, summary_to_json)
-from homogenize.solver import ConvergenceError
+from homogenize.operators import local_drift
+from homogenize.solver import ConvergenceError, solve_poisson
 from homogenize.spectral import diffusivity_via_spectrum, spectral_measure
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
@@ -82,24 +83,60 @@ def test_campaign_csv_reproducible():
     assert len(csv1.splitlines()) == 1 + 2 * 3
 
 
-def test_campaign_rows_independent_of_replica_count():
+def test_campaign_rows_independent_of_replica_count(monkeypatch):
+    from homogenize import solver
     law = DisorderLaw.uniform(0.5, 2.0)
     first_four = {str(replica_seed(2, r)) for r in range(4)}
+    stacks = []
+    real_cg = solver._cg
+    monkeypatch.setattr(solver, "_cg", lambda f, b, lam, tol: (
+        stacks.append(len(f)) or real_cg(f, b, lam, tol)))
     rows = {}
-    for replicas in (4, 6):
-        cfg = CampaignConfig(law, 2, (2, 4), replicas=replicas, master_seed=2)
-        records = run_campaign(cfg)
-        lines = records_to_csv(records, cfg).splitlines()[1:]
-        rows[replicas] = [line for line in lines
-                          if line.split(",")[0] in first_four]
-    assert len(rows[4]) == 8
-    assert rows[4] == rows[6]
-    # each Lp monitor is the max over the record's basis correctors
+    # stack widths 1, 4 and 64 at N = 4 (64 sites), four times that at N = 2
+    for width in (1, 4, 64):
+        monkeypatch.setattr(solver, "STACK_SITES", 64 * width)
+        for replicas in (4, 32):
+            stacks.clear()
+            cfg = CampaignConfig(law, 2, (2, 4), replicas=replicas, master_seed=2)
+            records = run_campaign(cfg)
+            # 32 replicas give 64 members per N: a stack of full width
+            assert replicas < 32 or width in stacks
+            lines = records_to_csv(records, cfg).splitlines()[1:]
+            rows[width, replicas] = [line for line in lines
+                                     if line.split(",")[0] in first_four]
+    assert len(rows[1, 4]) == 8
+    assert all(block == rows[1, 4] for block in rows.values())
+    # each Lp monitor is the max over the record's basis correctors, and the
+    # iteration count sums the record's own corrector solves
     for rec in records:
-        big = sample_environment(law, TorusGeometry(2, 4), rec.seed)
-        diags = effective_matrix(periodize(big, rec.N), tol=cfg.tol).diagnostics
+        fld = periodize(sample_environment(law, TorusGeometry(2, 4), rec.seed), rec.N)
+        diags = effective_matrix(fld, tol=cfg.tol).diagnostics
         assert rec.diagnostics["lp_norms"] == {
             p: max(d.lp_norms[p] for d in diags) for p in LP_EXPONENTS}
+        assert rec.iterations == sum(
+            solve_poisson(fld, local_drift(fld, e), tol=cfg.tol).iterations
+            for e in np.eye(2))
+
+
+def test_campaign_streams_replicas(monkeypatch):
+    from homogenize import solver
+    law = DisorderLaw.uniform(0.5, 2.0)
+    cfg = CampaignConfig(law, 1, (4,), replicas=2000, master_seed=5)
+    drawn = []
+    real_sample = experiments.sample_environment
+    monkeypatch.setattr(experiments, "sample_environment", lambda *a: (
+        drawn.append(1) or real_sample(*a)))
+    calls = []   # (stack size, fields drawn so far) per stack
+    real_cg = solver._cg
+    monkeypatch.setattr(solver, "_cg", lambda f, b, lam, tol: (
+        calls.append((len(f), len(drawn))) or real_cg(f, b, lam, tol)))
+    monkeypatch.setattr(solver, "STACK_SITES", 4 * 8)   # width 4 on 8 sites
+    batched = records_to_csv(run_campaign(cfg), cfg)
+    assert [size for size, _ in calls] == [4] * 500
+    # each stack's fields are drawn just before it is solved
+    assert [seen for _, seen in calls] == list(range(4, 2001, 4))
+    monkeypatch.setattr(solver, "STACK_SITES", 1)
+    assert records_to_csv(run_campaign(cfg), cfg) == batched
 
 
 def test_one_d_routes_cross_validate():
@@ -124,8 +161,8 @@ def test_hamming_medians_group_by_exact_count(monkeypatch):
     geom = TorusGeometry(2, 256)
     ones = BondField(geom, 2.0, np.ones((2,) + geom.grid_shape))
     # stand-in for D_N^{11}: the rate sum, which each resampled bond raises by 1
-    monkeypatch.setattr(experiments, "effective_quadratic",
-                        lambda fld, v, tol: float(fld.rates.sum()))
+    monkeypatch.setattr(experiments, "effective_quadratics",
+                        lambda fields, v, tol: (float(f.rates.sum()) for f in fields))
     out = hamming_sensitivity(ones, (100_000, 100_001), trials=1,
                               law=DisorderLaw.constant(2.0))
     assert out["medians"] == {100_000: 100_000.0, 100_001: 100_001.0}

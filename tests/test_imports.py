@@ -21,6 +21,9 @@ ROOT = Path(__file__).resolve().parents[1]
 TEST_ORACLES = {
     "one_d_exact",       # the 1D closed form D = 2 / mean(1/xi) of the matrix
     "hamming_distance",  # the resample_bonds contract: at most len(bonds) edits
+    # L f of one field, shape-checked; the stacked generator kernel is checked
+    # against it, and bench/tracing.py wraps it by name
+    "apply_generator",
     # scalar site and bond lookups that the vectorized layouts are checked against
     "TorusGeometry.site_index",   # coordinates -> linear site (move targets)
     "TorusGeometry.site_coords",  # linear site -> coordinates (bond ids, sites)

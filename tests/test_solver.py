@@ -163,3 +163,84 @@ def test_report_serialization():
     rep = solve_poisson(TWO_SITE, np.array([1.0, -1.0]), tol=1e-10)
     assert rep.residual_norm <= 1e-10 * np.sqrt(2)
     assert rep.iterations >= 1
+
+
+def _stack_instances(d, N, count, seed):
+    """count (field, right side) members on one torus, right sides mean-zero."""
+    pairs = [random_instance(d, N, seed + i) for i in range(count)]
+    return [f for f, _ in pairs], np.stack([g for _, g in pairs])
+
+
+@pytest.mark.parametrize("d,N", [(1, 4), (2, 2), (3, 1)])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_stacked_member_matches_solo_bit_for_bit(d, N, lam):
+    from homogenize.solver import _cg
+    fields, rhs = _stack_instances(d, N, 64, 100)
+    solo = solve_poisson(fields[0], rhs[0]) if not lam \
+        else solve_resolvent(fields[0], rhs[0], lam)
+    for width in (1, 4, 64):
+        u, k, res = _cg(fields[:width], rhs[:width], lam, 1e-10)
+        assert np.array_equal(u[0], solo.solution)
+        assert k[0] == solo.iterations and res[0] == solo.residual_norm
+    # every member of the wide stack is its own solo solve
+    u, k, _ = _cg(fields, rhs, lam, 1e-10)
+    for i in (1, 17, 63):
+        alone = _cg(fields[i:i + 1], rhs[i:i + 1], lam, 1e-10)
+        assert np.array_equal(u[i], alone[0][0]) and k[i] == alone[1][0]
+
+
+def test_zero_member_in_stack():
+    from homogenize.solver import _cg
+    fields, rhs = _stack_instances(2, 2, 5, 40)
+    rhs[2] = 0.0
+    u, k, res = _cg(fields, rhs, 0.0, 1e-10)
+    assert np.all(u[2] == 0.0) and k[2] == 0 and res[2] == 0.0
+    for i in (0, 1, 3, 4):
+        rep = solve_poisson(fields[i], rhs[i])
+        assert np.array_equal(u[i], rep.solution) and k[i] == rep.iterations
+
+
+def test_stalled_stack_reports_worst_member(monkeypatch):
+    from homogenize import solver
+    monkeypatch.setattr(solver, "_maxiter", lambda fld, tol: 2)
+    fields, rhs = _stack_instances(2, 4, 3, 60)
+    solo = []
+    for fld, g in zip(fields, rhs):
+        with pytest.raises(ConvergenceError) as exc:
+            solve_poisson(fld, g, tol=1e-14)
+        solo.append(exc.value.residual)
+    with pytest.raises(ConvergenceError) as exc:
+        solver._cg(fields, 1000.0 * rhs, 0.0, 1e-14)
+    assert exc.value.iterations == 2
+    # relative, so the common scale of the right sides drops out
+    assert exc.value.residual == pytest.approx(max(solo), rel=1e-9)
+
+
+def test_stream_cuts_stacks_at_the_site_cap(monkeypatch):
+    from homogenize import solver
+    fields, rhs = _stack_instances(2, 2, 10, 80)
+    other, g_other = random_instance(2, 1, 3)
+    members = [*zip(fields[:6], rhs[:6]), (other, g_other), *zip(fields[6:], rhs[6:])]
+    stacks = []
+    real_cg = solver._cg
+    monkeypatch.setattr(solver, "_cg", lambda f, b, lam, tol: (
+        stacks.append(len(f)) or real_cg(f, b, lam, tol)))
+    expected = [solve_poisson(fld, g) for fld, g in members]
+    for cap, widths in [(1, [1] * 11), (64, [4, 2, 1, 4]), (2 ** 13, [6, 1, 4])]:
+        monkeypatch.setattr(solver, "STACK_SITES", cap)
+        stacks.clear()
+        out = list(solver.solve_poisson_stream(iter(members)))
+        assert stacks == widths
+        assert [fld for fld, _ in out] == [fld for fld, _ in members]
+        for (_, rep), ref in zip(out, expected):
+            assert np.array_equal(rep.solution, ref.solution)
+            assert rep.iterations == ref.iterations
+            assert rep.residual_norm == ref.residual_norm
+
+
+def test_stream_rejects_nonzero_mean_member():
+    from homogenize.solver import solve_poisson_stream
+    fields, rhs = _stack_instances(2, 2, 3, 90)
+    rhs[1] += 1.0
+    with pytest.raises(ValueError, match="nonzero mean"):
+        list(solve_poisson_stream(zip(fields, rhs)))
