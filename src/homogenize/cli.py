@@ -1,11 +1,13 @@
 """Command-line front end: JSON config in, JSON/CSV artifacts out.
 
 Subcommands: diffusivity, converge, concentrate, hamming, walk, spectral,
-surface-tension, resolvent.  Configs are validated against CONFIG_SCHEMA
-(unknown keys rejected) before any computation; dotted --set overrides are
-applied after file parsing.  Exit codes: 0 success, 2 config/schema
-violation, 3 solver non-convergence, 4 size-guard violation (a dense
-solve on a large torus, or a walk with too many walkers or jumps).
+surface-tension, resolvent.  Configs are checked against the closed
+CONFIG_SCHEMA (unknown keys rejected) before any computation, by a built-in
+checker for the JSON Schema keywords that schema uses; dotted --set
+overrides are applied after file parsing.  Exit codes: 0 success, 2
+config/schema violation, 3 solver non-convergence, 4 size-guard violation
+(a torus above MAX_SITES sites, a dense solve on a large torus, or a walk
+with too many walkers or jumps).
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import math
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
-from .environment import DisorderLaw, TorusGeometry, sample_environment
+from .environment import (DisorderLaw, SizeGuardError, TorusGeometry,
+                          sample_environment)
 from .diffusivity import effective_matrix
-from .solver import DEFAULT_TOL, ConvergenceError, SizeGuardError
+from .solver import DEFAULT_TOL, ConvergenceError
 from .spectral import (diffusivity_via_spectrum, semigroup_moment,
                        semigroup_moment_mc, spectral_measure)
 from .walker import msd_estimate
@@ -123,6 +125,68 @@ class ConfigError(ValueError):
     pass
 
 
+_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema types: a bool is no number, and 2.0 is an integer."""
+    if name in _TYPES:
+        return isinstance(value, _TYPES[name])
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return name == "number" or isinstance(value, int) or value.is_integer()
+
+
+def _check(value, schema: dict, path: str = "$") -> None:
+    """Raise ConfigError at the first violation of schema by value.
+
+    Handles exactly the keywords CONFIG_SCHEMA uses: type, enum, minimum,
+    exclusiveMinimum, minItems, items, properties, additionalProperties (as
+    false only), required and dependentRequired.  Verdicts, JSON paths and
+    messages follow the JSON Schema Draft 2020-12 reference validator;
+    tests/test_cli.py runs it as the oracle and fails if the schema uses any
+    other keyword.
+    """
+    def fail(message: str):
+        raise ConfigError(f"config violates schema at {path}: {message}")
+
+    if "type" in schema and not _is_type(value, schema["type"]):
+        fail(f"{value!r} is not of type {schema['type']!r}")
+    if "enum" in schema and value not in schema["enum"]:  # string enums only
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if _is_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            fail(f"{value!r} is less than the minimum of {schema['minimum']!r}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            fail(f"{value!r} is less than or equal to the minimum of "
+                 f"{schema['exclusiveMinimum']!r}")
+    if isinstance(value, list):
+        least = schema.get("minItems", 0)
+        if len(value) < least:
+            fail(f"{value!r} " + ("should be non-empty" if least == 1
+                                  else "is too short"))
+        if "items" in schema:
+            for i, item in enumerate(value):
+                _check(item, schema["items"], f"{path}[{i}]")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        extra = sorted(key for key in value if key not in properties)
+        if schema.get("additionalProperties") is False and extra:
+            fail("Additional properties are not allowed ("
+                 + ", ".join(map(repr, extra))
+                 + (" was" if len(extra) == 1 else " were") + " unexpected)")
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        for key, needs in schema.get("dependentRequired", {}).items():
+            for need in needs:
+                if key in value and need not in value:
+                    fail(f"{need!r} is a dependency of {key!r}")
+        for key, sub in properties.items():
+            if key in value:
+                _check(value[key], sub, f"{path}.{key}")
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -170,11 +234,7 @@ def load_config(path: str, overrides=()) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     config = apply_overrides(config, overrides)
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(
-            f"config violates schema at {exc.json_path}: {exc.message}") from exc
+    _check(config, CONFIG_SCHEMA)
     return config
 
 
@@ -192,7 +252,7 @@ def _common(config: dict):
     tol = config.get("solver", {}).get("tol", DEFAULT_TOL)
     vector = config.get("vector")
     v = np.asarray(vector, dtype=float) if vector is not None \
-        else np.eye(geom.dimension)[0]
+        else np.eye(1, geom.dimension)[0]
     if v.shape != (geom.dimension,):
         raise ConfigError(f"vector has length {v.size}, expected {geom.dimension}")
     return geom, law, tol, v

@@ -12,6 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Most sites of a sampled torus.  effective_matrix peaks about 250 bytes a
+# site above the interpreter at d = 3 (d = 3, N = 24, the largest bench
+# torus, is 110,592 sites), so a solve at this bound needs about 1 GB.
+MAX_SITES = 2 ** 22
+
+
+class SizeGuardError(ValueError):
+    """A torus, a dense solve or a walk above its size guard."""
+
 
 class GeometryMismatchError(ValueError):
     """Two fields with different tori were combined."""
@@ -242,8 +251,15 @@ def sample_environment(law: DisorderLaw, geometry: TorusGeometry, seed: int) -> 
 
     Bonds are filled in external (site-major, direction fastest) order, so
     for d = 1 a torus of side 2N consumes the first 2N draws of the stream:
-    environments at different N with the same seed are nested.
+    environments at different N with the same seed are nested.  Raises
+    SizeGuardError, before any draw, above MAX_SITES sites.
     """
+    # side >= 2, so a dimension above MAX_SITES.bit_length() is over the
+    # guard; the cap keeps the power small for any dimension
+    if geometry.side ** min(geometry.dimension, MAX_SITES.bit_length()) > MAX_SITES:
+        raise SizeGuardError(f"a torus of side {geometry.side} in dimension "
+                             f"{geometry.dimension} exceeds the site guard "
+                             f"{MAX_SITES}")
     rng = rng_for(seed)
     flat = law.draw(rng, (geometry.volume, geometry.dimension))
     rates = np.moveaxis(flat.reshape(geometry.grid_shape + (geometry.dimension,)), -1, 0)

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import BondField, GeometryMismatchError, move_table
+from .environment import (BondField, GeometryMismatchError, SizeGuardError,
+                          move_table)
 from .operators import generator, mean_rho
 
 DEFAULT_TOL = 1e-10
@@ -49,10 +50,6 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-
-
-class SizeGuardError(ValueError):
-    """A dense solve or a walk above its size guard."""
 
 
 @dataclass

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .environment import BondField, move_table, rng_for
-from .solver import SizeGuardError
+from .environment import BondField, SizeGuardError, move_table, rng_for
 
 MAX_WALKERS = 2 ** 24
 MAX_JUMPS = 2 ** 32   # bound on walkers * t * (largest holding rate)

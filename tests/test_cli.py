@@ -1,10 +1,22 @@
+import copy
 import json
+import os
+import random
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from homogenize.cli import (EXIT_CONFIG, EXIT_GUARD, EXIT_SOLVER,
-                            ConfigError, apply_overrides, load_config, main)
+from homogenize.cli import (CONFIG_SCHEMA, EXIT_CONFIG, EXIT_GUARD, EXIT_SOLVER,
+                            SUBCOMMANDS, ConfigError, apply_overrides,
+                            load_config, main)
+
+ORACLE = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -238,3 +250,211 @@ def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch):
     # the error propagates, so the interpreter exits 1 with a traceback, not 2
     with pytest.raises(ValueError, match="a bug"):
         run_cli("diffusivity", cfg, tmp_path)
+
+
+def test_site_guard_refuses_every_subcommand_before_it_allocates(tmp_path, capsys):
+    # 4 * 10^10 sites in d = 2; a unit torus in 2000 dimensions, whose
+    # default vector must not be cut from a 2000 x 2000 identity
+    for geometry in ({"dimension": 2, "half_period": 100_000},
+                     {"dimension": 2000, "half_period": 1}):
+        cfg = write_config(tmp_path, base_config(geometry=geometry))
+        for subcommand in SUBCOMMANDS:
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                code = run_cli(subcommand, cfg, tmp_path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.perf_counter() - start < 0.5, subcommand
+            assert code == EXIT_GUARD, subcommand
+            assert peak < 2 ** 20, subcommand
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert "site guard" in err["message"], subcommand
+    assert not (tmp_path / "out").exists()
+
+
+# A config that sets every key of CONFIG_SCHEMA.
+FULL_CONFIG = {
+    "geometry": {"dimension": 2, "half_period": 2},
+    "law": {"kind": "discrete", "params": [0.5, 2.0], "probs": [0.5, 0.5]},
+    "seed": 0,
+    "vector": [1.0, 0.0],
+    "solver": {"tol": 1e-8},
+    "output_dir": "out",
+    "campaign": {"N_list": [2, 4], "replicas": 3, "epsilons": [0.1]},
+    "walk": {"t": 5.0, "walkers": 10, "start": "origin"},
+    "spectral": {"n": 1.0, "walkers": 10},
+    "hamming": {"perturb_counts": [1, 4], "trials": 2},
+    "resolvent": {"lambdas": [1.0, 0.1]},
+    "surface": {"max_steps": 10},
+}
+DELETE = object()
+
+
+def edited(doc, path, value):
+    """A deep copy of doc with the dotted path set to value, or deleted."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+def verdicts(tmp_path, doc):
+    """(load_config's error message or None, the oracle's) for one config."""
+    path = write_config(tmp_path, doc)
+    try:
+        load_config(path)
+        ours = None
+    except ConfigError as exc:
+        ours = str(exc)
+    errors = list(ORACLE.iter_errors(doc))
+    best = jsonschema.exceptions.best_match(errors)
+    theirs = None if best is None else \
+        f"config violates schema at {best.json_path}: {best.message}"
+    return ours, theirs, len(errors)
+
+
+ORACLE_TABLE = [  # (dotted path, new value or DELETE, accepted)
+    # type
+    ("seed", 2.0, True), ("seed", True, False), ("seed", 2.5, False),
+    ("seed", "0", False), ("seed", None, False), ("seed", 10 ** 30, True),
+    ("solver.tol", True, False), ("solver.tol", 1, True),
+    ("vector", [1, 0], True), ("vector", [False, 1.0], False),
+    ("vector", "x", False), ("law", [], False), ("walk", 3, False),
+    ("output_dir", 3, False), ("campaign.N_list", [2.0, 4.0], True),
+    ("campaign.N_list", [2, 4.5], False), ("hamming.trials", 2.0, True),
+    # enum
+    ("law.kind", "gamma", False), ("law.kind", "uniform", True),
+    ("law.kind", 1, False), ("walk.start", "uniform", True),
+    ("walk.start", ["origin"], False),
+    # minimum and exclusiveMinimum
+    ("geometry.dimension", 0, False), ("geometry.half_period", 1, True),
+    ("seed", -1, False), ("campaign.replicas", 1, False),
+    ("spectral.n", 0, True), ("spectral.n", -0.5, False),
+    ("hamming.perturb_counts", [0, -1], False),
+    ("solver.tol", 0, False), ("solver.tol", 1e-300, True),
+    ("walk.t", 0.0, False), ("walk.t", -1, False),
+    ("resolvent.lambdas", [1.0, 0], False), ("resolvent.lambdas", [], True),
+    # minItems
+    ("campaign.N_list", [], False), ("vector", [], False),
+    ("hamming.perturb_counts", [], False), ("law.params", [], True),
+    # additionalProperties: false, at the root and in a section
+    ("threads", 2, False), ("solver.max_iterations", 1, False),
+    ("walk.bogus", 1, False), ("law.probs", [1.0], True),
+    # required
+    ("seed", DELETE, False), ("geometry.half_period", DELETE, False),
+    ("law.kind", DELETE, False), ("vector", DELETE, True),
+    # dependentRequired
+    ("spectral.n", DELETE, False), ("spectral.walkers", DELETE, True),
+]
+
+
+@pytest.mark.parametrize("path,value,accepted", ORACLE_TABLE,
+                         ids=[f"{p}={'DELETE' if v is DELETE else v!r}"
+                              for p, v, _ in ORACLE_TABLE])
+def test_checker_matches_the_oracle_on_each_keyword(tmp_path, path, value, accepted):
+    ours, theirs, _ = verdicts(tmp_path, edited(FULL_CONFIG, path, value))
+    assert (ours is None) == accepted
+    assert ours == theirs  # one edit, one error: the same path and message
+
+
+# Replacement values for the mutation sweep: every JSON type, both sides of
+# every bound, every enum member and every schema key.
+POOL = [True, False, None, -1, 0, 1, 2, 2.0, 2.5, 0.0, -0.5, 1e-300, 10 ** 20,
+        "", "x", "origin", "uniform", "constant", "discrete", [], [0], [1],
+        [2, 1], [0.5, 2.0], [True], ["x"], {}, {"n": 1}, {"walkers": 2}]
+KEYS = ["geometry", "law", "seed", "vector", "walkers", "n", "t", "tol",
+        "kind", "params", "probs", "N_list", "start", "bogus"]
+
+
+def mutate(doc, rng):
+    """doc with one node replaced or deleted, or one key added to an object."""
+    doc = copy.deepcopy(doc)
+    nodes = []  # (container, key) of every node below the root
+
+    def collect(node):
+        children = node.items() if isinstance(node, dict) else \
+            enumerate(node) if isinstance(node, list) else ()
+        for key, child in children:
+            nodes.append((node, key))
+            collect(child)
+
+    collect(doc)
+    containers = [doc] + [c[k] for c, k in nodes if isinstance(c[k], dict)]
+    op = rng.randrange(3)
+    if op == 0:
+        container, key = rng.choice(nodes)
+        container[key] = copy.deepcopy(rng.choice(POOL))
+    elif op == 1:
+        container, key = rng.choice(nodes)
+        del container[key]
+    else:
+        rng.choice(containers)[rng.choice(KEYS)] = copy.deepcopy(rng.choice(POOL))
+    return doc
+
+
+def test_checker_matches_the_oracle_on_seeded_mutations(tmp_path):
+    rng = random.Random(20261018)
+    accepted = rejected = 0
+    for _ in range(3000):
+        doc = mutate(FULL_CONFIG, rng)
+        if rng.random() < 0.5:
+            doc = mutate(doc, rng)
+        ours, theirs, errors = verdicts(tmp_path, doc)
+        assert (ours is None) == (theirs is None), (doc, ours, theirs)
+        if errors == 1:
+            assert ours == theirs, doc
+        accepted += ours is None
+        rejected += ours is not None
+    assert min(accepted, rejected) >= 300  # both verdicts well sampled
+
+
+SUPPORTED_KEYWORDS = {"type", "properties", "additionalProperties", "required",
+                      "enum", "minimum", "exclusiveMinimum", "minItems", "items",
+                      "dependentRequired"}
+
+
+def unsupported_keywords(schema, path="$"):
+    """Keywords of schema, and of its subschemas, the CLI's checker ignores."""
+    out = [f"{path}: {key}" for key in sorted(set(schema) - SUPPORTED_KEYWORDS)]
+    if schema.get("additionalProperties", False) is not False:
+        out.append(f"{path}: additionalProperties other than false")
+    if not all(isinstance(each, str) for each in schema.get("enum", ())):
+        out.append(f"{path}: enum member other than a string")
+    for key, sub in schema.get("properties", {}).items():
+        out += unsupported_keywords(sub, f"{path}.{key}")
+    if "items" in schema:
+        out += unsupported_keywords(schema["items"], f"{path}[]")
+    return out
+
+
+def test_unsupported_schema_keyword_is_detected():
+    planted = {"type": "object", "additionalProperties": True, "properties": {
+        "a": {"type": "integer", "maximum": 3},
+        "b": {"type": "array", "items": {"pattern": "x", "enum": [1]}}}}
+    assert unsupported_keywords(planted) == [
+        "$: additionalProperties other than false", "$.a: maximum",
+        "$.b[]: pattern", "$.b[]: enum member other than a string"]
+
+
+def test_config_schema_uses_only_supported_keywords():
+    assert unsupported_keywords(CONFIG_SCHEMA) == []
+
+
+def test_cli_imports_no_schema_library(tmp_path):
+    cfg = write_config(tmp_path, FULL_CONFIG)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, homogenize.cli\n"
+            f"homogenize.cli.load_config({cfg!r})\n"
+            "print('jsonschema' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from homogenize.environment import (BondField, DisorderLaw, GeometryMismatchError,
+from homogenize.environment import (MAX_SITES, BondField, DisorderLaw,
+                                    GeometryMismatchError, SizeGuardError,
                                     SupportError, TorusGeometry, hamming_distance,
                                     periodize, resample_bonds, rng_for,
                                     sample_environment)
@@ -145,3 +148,24 @@ def test_rng_streams_are_order_independent():
     for _ in range(3):
         rng_for(0, 3).integers(2 ** 63)
     assert rng_for(0, 7).integers(2 ** 63) == a
+
+
+def test_site_guard_refuses_before_any_draw():
+    law = DisorderLaw.uniform(0.5, 2.0)
+    # one site over the guard in d = 1; 4 * 10^10 sites in d = 2; a unit torus
+    # in one dimension past the guard's exponent; side and dimension whose
+    # power alone would not fit in memory
+    over = [TorusGeometry(1, MAX_SITES // 2 + 1), TorusGeometry(2, 100_000),
+            TorusGeometry(MAX_SITES.bit_length(), 1), TorusGeometry(10**9, 10**9)]
+    tracemalloc.start()
+    try:
+        for geom in over:
+            with pytest.raises(SizeGuardError, match="site guard"):
+                sample_environment(law, geom, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the d = 1 draw alone would be 32 MiB
+    at_guard = sample_environment(DisorderLaw.constant(1.0),
+                                  TorusGeometry(1, MAX_SITES // 2), 0)
+    assert at_guard.geometry.volume == MAX_SITES
