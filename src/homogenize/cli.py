@@ -6,8 +6,9 @@ CONFIG_SCHEMA (unknown keys rejected) before any computation, by a built-in
 checker for the JSON Schema keywords that schema uses; dotted --set
 overrides are applied after file parsing.  Exit codes: 0 success, 2
 config/schema violation, 3 solver non-convergence, 4 size-guard violation
-(a torus above MAX_SITES sites, a dense solve on a large torus, or a walk
-with too many walkers or jumps).
+(a torus above MAX_SITES sites, a dense solve on a large torus, a walk
+with too many walkers or jumps, or a campaign or Hamming study above
+MAX_RECORDS records).
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {"tol": {"type": "number", "exclusiveMinimum": 0}},
         },
-        "output_dir": {"type": "string"},
         "campaign": {
             "type": "object",
             "additionalProperties": False,
@@ -101,6 +101,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "perturb_counts": {"type": "array", "minItems": 1,
+                                   "uniqueItems": True,
                                    "items": {"type": "integer", "minimum": 0}},
                 "trials": {"type": "integer", "minimum": 1},
             },
@@ -125,7 +126,7 @@ class ConfigError(ValueError):
     pass
 
 
-_TYPES = {"object": dict, "array": list, "string": str}
+_TYPES = {"object": dict, "array": list}
 
 
 def _is_type(value, name: str) -> bool:
@@ -137,15 +138,24 @@ def _is_type(value, name: str) -> bool:
     return name == "number" or isinstance(value, int) or value.is_integer()
 
 
+def _json_key(value):
+    """A hashable key, equal for equal JSON values (1 and 1.0, not true and 1)."""
+    if isinstance(value, list):
+        return "array", tuple(map(_json_key, value))
+    if isinstance(value, dict):
+        return "object", frozenset((k, _json_key(v)) for k, v in value.items())
+    return isinstance(value, bool), value
+
+
 def _check(value, schema: dict, path: str = "$") -> None:
     """Raise ConfigError at the first violation of schema by value.
 
     Handles exactly the keywords CONFIG_SCHEMA uses: type, enum, minimum,
-    exclusiveMinimum, minItems, items, properties, additionalProperties (as
-    false only), required and dependentRequired.  Verdicts, JSON paths and
-    messages follow the JSON Schema Draft 2020-12 reference validator;
-    tests/test_cli.py runs it as the oracle and fails if the schema uses any
-    other keyword.
+    exclusiveMinimum, minItems, uniqueItems, items, properties,
+    additionalProperties (as false only), required and dependentRequired.
+    Verdicts, JSON paths and messages follow the JSON Schema Draft 2020-12
+    reference validator; tests/test_cli.py runs it as the oracle and fails if
+    the schema uses any other keyword.
     """
     def fail(message: str):
         raise ConfigError(f"config violates schema at {path}: {message}")
@@ -165,6 +175,8 @@ def _check(value, schema: dict, path: str = "$") -> None:
         if len(value) < least:
             fail(f"{value!r} " + ("should be non-empty" if least == 1
                                   else "is too short"))
+        if schema.get("uniqueItems") and len(set(map(_json_key, value))) < len(value):
+            fail(f"{value!r} has non-unique elements")
         if "items" in schema:
             for i, item in enumerate(value):
                 _check(item, schema["items"], f"{path}[{i}]")
@@ -369,8 +381,8 @@ def main(argv=None) -> int:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="dotted-path override, e.g. solver.tol=1e-8")
-    parser.add_argument("--output-dir", default=None,
-                        help="output root (defaults to the config's output_dir or .)")
+    parser.add_argument("--output-dir", default=".",
+                        help="directory the artifacts are written to (default: .)")
     parser.add_argument("--version", action="version", version=__version__)
     args = parser.parse_args(argv)
 
@@ -383,9 +395,8 @@ def main(argv=None) -> int:
         config = load_config(args.config, args.overrides)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
-    outdir = Path(args.output_dir or config.get("output_dir", "."))
     try:
-        written = run(args.subcommand, config, outdir)
+        written = run(args.subcommand, config, Path(args.output_dir))
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
     except TooManyBondsError as exc:

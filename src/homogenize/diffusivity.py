@@ -11,7 +11,7 @@ definition).  In d = 1 the matrix is 2 / (torus mean of 1/xi) exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -37,24 +37,34 @@ class IdentityDiagnostics:
         (mean |grad chi|^p)^(1/p) for p in LP_EXPONENTS.
     quadratic_linear_gap: |quadratic form - linear form| of the two
         effective-quadratic identities.
+
+    The field order is the column order of the campaign CSV.
     """
 
     orthogonality_residual: float
     curl_residual: float
     flux_divergence_residual: float
     l2_bound_margin: float
-    lp_norms: dict = field(default_factory=dict)
-    quadratic_linear_gap: float = 0.0
+    lp_norms: dict
+    quadratic_linear_gap: float
 
     def to_json(self) -> dict:
-        return {
-            "orthogonality_residual": self.orthogonality_residual,
-            "curl_residual": self.curl_residual,
-            "flux_divergence_residual": self.flux_divergence_residual,
-            "l2_bound_margin": self.l2_bound_margin,
-            "lp_norms": {str(p): v for p, v in self.lp_norms.items()},
-            "quadratic_linear_gap": self.quadratic_linear_gap,
-        }
+        return {**asdict(self),
+                "lp_norms": {str(p): v for p, v in self.lp_norms.items()}}
+
+    @classmethod
+    def worst(cls, diags) -> "IdentityDiagnostics":
+        """The worst of each diagnostic over diags (a record's basis correctors).
+
+        The least l2_bound_margin, the largest of every other residual, and
+        the largest of each Lp norm, exponent by exponent.
+        """
+        worst = {f.name: max(getattr(d, f.name) for d in diags)
+                 for f in fields(cls) if f.name != "lp_norms"}
+        worst["l2_bound_margin"] = min(d.l2_bound_margin for d in diags)
+        worst["lp_norms"] = {p: max(d.lp_norms[p] for d in diags)
+                             for p in LP_EXPONENTS}
+        return cls(**worst)
 
 
 @dataclass

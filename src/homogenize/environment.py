@@ -105,6 +105,9 @@ class DisorderLaw:
         if arity is not None and len(self.params) != arity:
             raise ValueError(f"{self.kind} law takes {arity} params, "
                              f"got {len(self.params)}")
+        if arity is not None and self.probs:
+            raise ValueError(f"{self.kind} law takes no probs, "
+                             f"got {len(self.probs)}")
         if self.kind == "constant":
             (a,) = self.params
             if a <= 0:

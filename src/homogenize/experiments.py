@@ -16,16 +16,17 @@ import hashlib
 import io
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .environment import (BondField, DisorderLaw, TorusGeometry,
-                          periodize, resample_bonds, rng_for,
+from .environment import (BondField, DisorderLaw, SizeGuardError,
+                          TorusGeometry, periodize, resample_bonds, rng_for,
                           sample_environment)
 from .operators import grad, local_drift, div_star
-from .diffusivity import (LP_EXPONENTS, _energy, corrector, effective_matrices,
-                          effective_quadratic, effective_quadratics)
+from .diffusivity import (LP_EXPONENTS, IdentityDiagnostics, _energy, corrector,
+                          effective_matrices, effective_quadratic,
+                          effective_quadratics)
 from .solver import DEFAULT_TOL, ConvergenceError, solve_resolvent
 
 
@@ -49,41 +50,38 @@ class CampaignConfig:
             raise ValueError("need at least 2 replicas for variance estimates")
 
     def to_json(self) -> dict:
-        return {
-            "law": self.law.to_json(),
-            "dimension": self.dimension,
-            "N_list": list(self.N_list),
-            "replicas": self.replicas,
-            "tol": self.tol,
-            "master_seed": self.master_seed,
-        }
+        return {**asdict(self), "law": self.law.to_json(),
+                "N_list": list(self.N_list)}
 
 
 @dataclass
 class ExperimentRecord:
+    """One (N, replica) matrix of a campaign, with its worst diagnostics."""
+
     N: int
-    replica: int
     seed: int
     entries: np.ndarray
     asymmetry: float
-    diagnostics: dict = field(default_factory=dict)
-    iterations: int = 0
+    diagnostics: IdentityDiagnostics
+    iterations: int
 
+
+# Most records of one campaign (replicas x torus sizes) or one Hamming study
+# (perturb counts x trials).  A campaign peaks about 2 KB a record above the
+# interpreter, CSV text included (tracemalloc, d = 1 to 3), and a Hamming pair
+# under 1 KB, so a run at this bound holds about 1 GB.
+MAX_RECORDS = 2 ** 19
 
 # Defaults of concentration_study and surface_tension, which the CLI shares.
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2)
 DEFAULT_MAX_STEPS = 100_000
 
-# How a record reduces each identity diagnostic over its basis correctors; the
-# same order is the CSV column order.  Each Lp norm reduces by max, exponent
-# by exponent.
-DIAGNOSTIC_REDUCTIONS = {
-    "orthogonality_residual": max,
-    "curl_residual": max,
-    "flux_divergence_residual": max,
-    "l2_bound_margin": min,
-    "quadratic_linear_gap": max,
-}
+
+def _guard_records(kind: str, count: int) -> None:
+    """Raise SizeGuardError above MAX_RECORDS records, before any is built."""
+    if count > MAX_RECORDS:
+        raise SizeGuardError(f"{count} {kind} records exceed the record guard "
+                             f"{MAX_RECORDS}")
 
 
 def replica_seed(master_seed: int, replica: int) -> int:
@@ -100,24 +98,19 @@ def run_campaign(config: CampaignConfig) -> list[ExperimentRecord]:
     sample is a pure function of the replica's seed, so it is drawn again
     at every size; the matrices are computed in stacks of replicas
     (effective_matrices), and only one stack's fields are held at a time.
+    Above MAX_RECORDS records it raises SizeGuardError before any seed.
     """
+    _guard_records("campaign", config.replicas * len(config.N_list))
     geom = TorusGeometry(config.dimension, max(config.N_list))
     seeds = [replica_seed(config.master_seed, r) for r in range(config.replicas)]
-    pairs = list(itertools.product(config.N_list, enumerate(seeds)))
-    fields = (periodize(sample_environment(config.law, geom, seed), n)
-              for n, (_, seed) in pairs)
-    records = []
-    for (n, (r, seed)), mat in zip(pairs, effective_matrices(fields, tol=config.tol)):
-        diags = mat.diagnostics
-        reduced = {name: reduce(getattr(d, name) for d in diags)
-                   for name, reduce in DIAGNOSTIC_REDUCTIONS.items()}
-        lp_norms = {p: max(d.lp_norms[p] for d in diags) for p in LP_EXPONENTS}
-        records.append(ExperimentRecord(
-            N=n, replica=r, seed=seed, entries=mat.entries,
-            asymmetry=mat.asymmetry,
-            diagnostics={**reduced, "lp_norms": lp_norms},
-            iterations=mat.iterations))
-    return records
+    pairs = list(itertools.product(config.N_list, seeds))
+    envs = (periodize(sample_environment(config.law, geom, seed), n)
+            for n, seed in pairs)
+    return [ExperimentRecord(N=n, seed=seed, entries=mat.entries,
+                             asymmetry=mat.asymmetry,
+                             diagnostics=IdentityDiagnostics.worst(mat.diagnostics),
+                             iterations=mat.iterations)
+            for (n, seed), mat in zip(pairs, effective_matrices(envs, tol=config.tol))]
 
 
 def convergence_study(config: CampaignConfig,
@@ -173,12 +166,14 @@ def hamming_sensitivity(fld: BondField, perturb_counts, trials: int,
     For each count, resamples that many uniformly chosen bonds from law and
     records (hamming fraction, |delta D_N^{11}|) pairs; a log-log fit over
     the nonzero pairs gives the reported exponent.  Only the decay to zero
-    is a contract; the true Hoelder exponent is not asserted.
+    is a contract; the true Hoelder exponent is not asserted.  Above
+    MAX_RECORDS pairs it raises SizeGuardError before any trial.
     """
     nbonds = fld.geometry.bond_count
     if max(perturb_counts) > nbonds:
         raise TooManyBondsError(f"cannot perturb {max(perturb_counts)} of the "
                                 f"{nbonds} bonds")
+    _guard_records("hamming", len(perturb_counts) * trials)
     e1 = np.zeros(fld.dimension)
     e1[0] = 1.0
     trials_run = [(count, trial) for count in perturb_counts
@@ -297,9 +292,10 @@ def records_to_csv(records: list[ExperimentRecord], config: CampaignConfig) -> s
     law_desc = json.dumps(config.law.to_json(), sort_keys=True,
                           separators=(",", ":"))
     c = config.law.ellipticity()
+    names = [f.name for f in fields(IdentityDiagnostics) if f.name != "lp_norms"]
     header = (["seed", "d", "N", "c", "law"]
               + [f"D_{i}{j}" for i in range(d) for j in range(d)]
-              + ["asymmetry", *DIAGNOSTIC_REDUCTIONS]
+              + ["asymmetry", *names]
               + [f"lp_{p}" for p in LP_EXPONENTS]
               + ["iterations"])
     buf = io.StringIO()
@@ -309,8 +305,8 @@ def records_to_csv(records: list[ExperimentRecord], config: CampaignConfig) -> s
         row = [rec.seed, d, rec.N, repr(float(c)), law_desc]
         row += [repr(float(x)) for x in rec.entries.reshape(-1)]
         row += [repr(float(rec.asymmetry))]
-        row += [repr(float(rec.diagnostics[k])) for k in DIAGNOSTIC_REDUCTIONS]
-        row += [repr(float(rec.diagnostics["lp_norms"][p])) for p in LP_EXPONENTS]
+        row += [repr(float(getattr(rec.diagnostics, k))) for k in names]
+        row += [repr(float(rec.diagnostics.lp_norms[p])) for p in LP_EXPONENTS]
         row += [rec.iterations]
         writer.writerow(row)
     return buf.getvalue()

@@ -224,7 +224,7 @@ def test_criterion_11_hamming_sensitivity():
 
 def test_criterion_12_lp_monitoring(uniform_2d_campaign):
     cfg, records = uniform_2d_campaign
-    by_n = {n: np.array([rec.diagnostics["lp_norms"][2.5]
+    by_n = {n: np.array([rec.diagnostics.lp_norms[2.5]
                          for rec in records if rec.N == n][:50])
             for n in cfg.N_list}
     ref = by_n[4].mean()

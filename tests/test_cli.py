@@ -118,10 +118,11 @@ def test_missing_config_exits_2_without_artifacts(tmp_path, capsys):
 
 
 def test_unknown_key_rejected(tmp_path):
-    # threads and the two solver keys were once accepted and then ignored
+    # threads and the two solver keys were once accepted and then ignored;
+    # output_dir duplicated --output-dir
     for extra in ({"typo_key": 1}, {"threads": 2},
                   {"solver": {"max_iterations": 1}},
-                  {"solver": {"jacobi": True}}):
+                  {"solver": {"jacobi": True}}, {"output_dir": "out"}):
         cfg = write_config(tmp_path, base_config(**extra))
         assert run_cli("diffusivity", cfg, tmp_path) == EXIT_CONFIG, extra
         assert not (tmp_path / "out").exists()
@@ -138,8 +139,10 @@ def test_size_guard_exit_code(tmp_path):
         geometry={"dimension": 3, "half_period": 9}))
     assert run_cli("spectral", cfg, tmp_path) == EXIT_GUARD
     cfg = write_config(tmp_path, base_config())
-    assert run_cli("walk", cfg, tmp_path,
-                   "--set", f"walk.walkers={10 ** 30}") == EXIT_GUARD
+    for subcommand, override in (("walk", f"walk.walkers={10 ** 30}"),
+                                 ("converge", f"campaign.replicas={10 ** 12}"),
+                                 ("hamming", f"hamming.trials={10 ** 12}")):
+        assert run_cli(subcommand, cfg, tmp_path, "--set", override) == EXIT_GUARD
     assert not (tmp_path / "out").exists()
 
 
@@ -222,6 +225,10 @@ def test_vector_length_mismatch_exits_2(tmp_path):
     ("spectral", {"spectral": {"walkers": 100}}, "'n' is a dependency of 'walkers'"),
     ("hamming", {"hamming": {"perturb_counts": []}}, "hamming.perturb_counts"),
     ("hamming", {"hamming": {"perturb_counts": [1000]}}, "1000 of the 32 bonds"),
+    ("hamming", {"hamming": {"perturb_counts": [4, 4], "trials": 3}},
+     "hamming.perturb_counts: [4, 4] has non-unique elements"),
+    ("diffusivity", {"law": {"kind": "uniform", "params": [0.5, 2.0],
+                             "probs": [0.3, 0.7]}}, "uniform law takes no probs"),
     ("diffusivity", {"solver": {"tol": -1}}, "solver.tol"),
     ("diffusivity", {"solver": {"tol": 0}}, "solver.tol"),
     ("diffusivity", {"solver": {"tol": float("nan")}}, "NaN is not a finite"),
@@ -229,7 +236,8 @@ def test_vector_length_mismatch_exits_2(tmp_path):
 ], ids=["uniform_reversed", "constant_two_params", "N_list_decreasing",
         "N_list_repeated", "N_list_empty", "walk_t_zero", "spectral_n_negative",
         "spectral_walkers_without_n",
-        "perturb_counts_empty", "perturb_counts_too_many", "tol_negative",
+        "perturb_counts_empty", "perturb_counts_too_many",
+        "perturb_counts_repeated", "uniform_with_probs", "tol_negative",
         "tol_zero", "tol_nan", "walk_t_nan"])
 def test_bad_config_values_exit_2_with_message(tmp_path, capsys, subcommand,
                                                extra, message):
@@ -281,7 +289,6 @@ FULL_CONFIG = {
     "seed": 0,
     "vector": [1.0, 0.0],
     "solver": {"tol": 1e-8},
-    "output_dir": "out",
     "campaign": {"N_list": [2, 4], "replicas": 3, "epsilons": [0.1]},
     "walk": {"t": 5.0, "walkers": 10, "start": "origin"},
     "spectral": {"n": 1.0, "walkers": 10},
@@ -328,7 +335,7 @@ ORACLE_TABLE = [  # (dotted path, new value or DELETE, accepted)
     ("solver.tol", True, False), ("solver.tol", 1, True),
     ("vector", [1, 0], True), ("vector", [False, 1.0], False),
     ("vector", "x", False), ("law", [], False), ("walk", 3, False),
-    ("output_dir", 3, False), ("campaign.N_list", [2.0, 4.0], True),
+    ("campaign.N_list", [2.0, 4.0], True),
     ("campaign.N_list", [2, 4.5], False), ("hamming.trials", 2.0, True),
     # enum
     ("law.kind", "gamma", False), ("law.kind", "uniform", True),
@@ -345,6 +352,11 @@ ORACLE_TABLE = [  # (dotted path, new value or DELETE, accepted)
     # minItems
     ("campaign.N_list", [], False), ("vector", [], False),
     ("hamming.perturb_counts", [], False), ("law.params", [], True),
+    # uniqueItems: JSON equality, so 4 and 4.0 are equal and true and 1 not
+    ("hamming.perturb_counts", [4, 4], False),
+    ("hamming.perturb_counts", [4, 4.0], False),
+    ("hamming.perturb_counts", [1, True], False),
+    ("hamming.perturb_counts", [0, 1, 4], True),
     # additionalProperties: false, at the root and in a section
     ("threads", 2, False), ("solver.max_iterations", 1, False),
     ("walk.bogus", 1, False), ("law.probs", [1.0], True),
@@ -417,8 +429,8 @@ def test_checker_matches_the_oracle_on_seeded_mutations(tmp_path):
 
 
 SUPPORTED_KEYWORDS = {"type", "properties", "additionalProperties", "required",
-                      "enum", "minimum", "exclusiveMinimum", "minItems", "items",
-                      "dependentRequired"}
+                      "enum", "minimum", "exclusiveMinimum", "minItems",
+                      "uniqueItems", "items", "dependentRequired"}
 
 
 def unsupported_keywords(schema, path="$"):

@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from homogenize.diffusivity import (corrector, effective_matrix,
-                                    effective_quadratic, identity_residuals,
-                                    one_d_exact)
+from homogenize.diffusivity import (LP_EXPONENTS, IdentityDiagnostics, corrector,
+                                    effective_matrix, effective_quadratic,
+                                    identity_residuals, one_d_exact)
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     rng_for, sample_environment)
 from homogenize.operators import grad, mean_rho
@@ -199,3 +201,14 @@ def test_matrix_serialization():
     assert np.asarray(doc["entries"]).shape == (2, 2)
     assert len(doc["diagnostics"]) == 2
     assert doc["iterations"] > 0
+    diag = doc["diagnostics"][0]
+    assert list(diag) == [f.name for f in fields(IdentityDiagnostics)]
+    assert list(diag["lp_norms"]) == ["2.0", "2.5", "3.0", "4.0"]
+
+
+def test_worst_takes_least_margin_and_largest_of_the_rest():
+    diags = [IdentityDiagnostics(1e-3, 0.0, 2.0, 5.0, {p: p for p in LP_EXPONENTS}, 1.0),
+             IdentityDiagnostics(1e-4, 1e-16, 3.0, 4.0,
+                                 {p: 7.0 - p for p in LP_EXPONENTS}, 0.5)]
+    assert IdentityDiagnostics.worst(diags) == IdentityDiagnostics(
+        1e-3, 1e-16, 3.0, 4.0, {2.0: 5.0, 2.5: 4.5, 3.0: 4.0, 4.0: 4.0}, 1.0)

@@ -73,6 +73,10 @@ def test_law_validation():
         DisorderLaw("discrete", (1.0, 2.0), (0.7, 0.6))
     with pytest.raises(ValueError):
         DisorderLaw("pareto", (1.0,))
+    # probs of a law that would ignore them
+    for kind, params in (("constant", (1.0,)), ("two_point", (1.0, 2.0, 0.5))):
+        with pytest.raises(ValueError, match=f"{kind} law takes no probs"):
+            DisorderLaw(kind, params, (0.5, 0.5))
 
 
 def test_law_mean_inverse():

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from homogenize.diffusivity import LP_EXPONENTS, effective_matrix, one_d_exact
+from homogenize.diffusivity import (IdentityDiagnostics, effective_matrix,
+                                    one_d_exact)
 from homogenize import experiments
-from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
-                                    periodize, sample_environment)
-from homogenize.experiments import (CampaignConfig, TooManyBondsError,
+from homogenize.environment import (BondField, DisorderLaw, SizeGuardError,
+                                    TorusGeometry, periodize, sample_environment)
+from homogenize.experiments import (MAX_RECORDS, CampaignConfig, TooManyBondsError,
                                     concentration_study, config_hash,
                                     convergence_study, hamming_sensitivity,
                                     records_to_csv, replica_seed,
@@ -77,9 +80,12 @@ def test_campaign_csv_reproducible():
     csv1 = records_to_csv(run_campaign(cfg), cfg)
     csv2 = records_to_csv(run_campaign(cfg), cfg)
     assert csv1 == csv2
-    header = csv1.splitlines()[0].split(",")
-    assert header[:5] == ["seed", "d", "N", "c", "law"]
-    assert "lp_2.5" in header
+    # bench/checks.py reads seed, N, D_ij and four diagnostic columns by name
+    assert csv1.splitlines()[0].split(",") == [
+        "seed", "d", "N", "c", "law", "D_00", "D_01", "D_10", "D_11",
+        "asymmetry", "orthogonality_residual", "curl_residual",
+        "flux_divergence_residual", "l2_bound_margin", "quadratic_linear_gap",
+        "lp_2.0", "lp_2.5", "lp_3.0", "lp_4.0", "iterations"]
     assert len(csv1.splitlines()) == 1 + 2 * 3
 
 
@@ -106,16 +112,37 @@ def test_campaign_rows_independent_of_replica_count(monkeypatch):
                                      if line.split(",")[0] in first_four]
     assert len(rows[1, 4]) == 8
     assert all(block == rows[1, 4] for block in rows.values())
-    # each Lp monitor is the max over the record's basis correctors, and the
-    # iteration count sums the record's own corrector solves
+    # the diagnostics are the worst over the record's basis correctors, and
+    # the iteration count sums the record's own corrector solves
     for rec in records:
         fld = periodize(sample_environment(law, TorusGeometry(2, 4), rec.seed), rec.N)
         diags = effective_matrix(fld, tol=cfg.tol).diagnostics
-        assert rec.diagnostics["lp_norms"] == {
-            p: max(d.lp_norms[p] for d in diags) for p in LP_EXPONENTS}
+        assert rec.diagnostics == IdentityDiagnostics.worst(diags)
         assert rec.iterations == sum(
             solve_poisson(fld, local_drift(fld, e), tol=cfg.tol).iterations
             for e in np.eye(2))
+
+
+def test_record_guards_refuse_before_any_seed(monkeypatch):
+    law = DisorderLaw.uniform(0.5, 2.0)
+    fld = sample_environment(law, TorusGeometry(2, 2), 0)
+    over = MAX_RECORDS // 2 + 1   # records for two N, or two perturb counts
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="record guard"):
+            run_campaign(CampaignConfig(law, 2, (2, 4), replicas=over))
+        with pytest.raises(SizeGuardError, match="record guard"):
+            hamming_sensitivity(fld, (1, 2), trials=over, law=law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the replica seeds alone would take about 11 MB
+    # the bound itself is allowed
+    monkeypatch.setattr(experiments, "MAX_RECORDS", 6)
+    assert len(run_campaign(CampaignConfig(law, 2, (1, 2), replicas=3))) == 6
+    assert len(hamming_sensitivity(fld, (1, 2), trials=3, law=law)["pairs"]) == 6
+    with pytest.raises(SizeGuardError):
+        hamming_sensitivity(fld, (1, 2), trials=4, law=law)
 
 
 def test_campaign_streams_replicas(monkeypatch):

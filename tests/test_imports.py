@@ -10,6 +10,9 @@ functions and classes, and of the public methods of those classes, with the
 callers restricted to the package itself, the demos and the bench: a name
 that only tests read is library surface without a caller.  A method counts
 as used when its name appears as an attribute in some caller.
+
+The third check asks the same callers to read every field of the package's
+dataclasses: a field that is only ever written is state without a reader.
 """
 
 import ast
@@ -115,14 +118,88 @@ def test_unused_public_name_is_detected():
     assert unused_public_names(package, callers) == ["mod: planted", "mod: Kept.unused"]
 
 
-def test_public_names_have_non_test_callers():
+def _package_and_callers() -> tuple[dict[str, str], list[str]]:
+    """The package's module sources, and every non-test caller's source."""
     package = {p.stem: p.read_text() for p in _package_files()}
     callers = list(package.values()) + [
         p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))
         + sorted((ROOT / "bench").glob("*.py"))]
+    return package, callers
+
+
+def test_public_names_have_non_test_callers():
+    package, callers = _package_and_callers()
     flagged = {entry.split(": ")[1]: entry
                for entry in unused_public_names(package, callers)}
     offenders = [entry for name, entry in flagged.items() if name not in TEST_ORACLES]
     assert not offenders, "public names without a caller:\n" + "\n".join(offenders)
     # an oracle that gains a caller leaves the exemption list
     assert set(flagged) == TEST_ORACLES
+
+
+
+def _name(node: ast.AST):
+    """The name a Name or an Attribute ends in, else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _wholly_read(tree: ast.AST) -> set[str]:
+    """Classes passed to asdict or fields in tree, by name or as self or cls."""
+    out = set()
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Call) and _name(node.func) in ("asdict", "fields") \
+                and node.args and isinstance(node.args[0], ast.Name):
+            arg = node.args[0].id
+            out.add(cls if arg in ("self", "cls") else arg)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def unread_dataclass_fields(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Fields of the package's dataclasses that no caller reads, as Class.field.
+
+    A field is read when some caller loads it as an attribute, or passes its
+    class to asdict or fields, which read every field.
+    """
+    loaded, whole = set(), set()
+    for source in callers:
+        tree = ast.parse(source)
+        loaded |= {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load)}
+        whole |= _wholly_read(tree)
+    out = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.ClassDef) or node.name in whole:
+                continue
+            if "dataclass" not in {_name(getattr(dec, "func", dec))
+                                   for dec in node.decorator_list}:
+                continue
+            out += [f"{module}: {node.name}.{item.target.id}" for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and item.target.id not in loaded]
+    return out
+
+
+def test_unread_dataclass_field_is_detected():
+    package = {"mod": "from dataclasses import asdict, dataclass, fields\n\n\n"
+                      "@dataclass\nclass Record:\n    used: int\n    planted: int\n\n\n"
+                      "@dataclass(frozen=True)\nclass Whole:\n    a: int\n\n"
+                      "    def to_json(self):\n        return asdict(self)\n\n\n"
+                      "@dataclass\nclass Named:\n    b: int\n\n\n"
+                      "class Plain:\n    c: int\n"}
+    callers = [package["mod"], "import mod\nrec = mod.Record(1, 2)\nrec.used\n"
+               "rec.planted = 3\nmod.fields(Named)\n"]
+    assert unread_dataclass_fields(package, callers) == ["mod: Record.planted"]
+
+
+def test_dataclass_fields_are_read_outside_tests():
+    assert unread_dataclass_fields(*_package_and_callers()) == []
