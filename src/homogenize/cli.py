@@ -79,7 +79,8 @@ CONFIG_SCHEMA = {
                 "N_list": {"type": "array", "minItems": 1,
                            "items": {"type": "integer", "minimum": 1}},
                 "replicas": {"type": "integer", "minimum": 2},
-                "epsilons": {"type": "array", "items": _NUM},
+                "epsilons": {"type": "array", "uniqueItems": True,
+                             "items": _NUM},
             },
         },
         "walk": {
@@ -109,7 +110,7 @@ CONFIG_SCHEMA = {
         "resolvent": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"lambdas": {"type": "array",
+            "properties": {"lambdas": {"type": "array", "uniqueItems": True,
                                        "items": {"type": "number",
                                                  "exclusiveMinimum": 0}}},
         },
@@ -147,8 +148,11 @@ def _json_key(value):
     return isinstance(value, bool), value
 
 
-def _check(value, schema: dict, path: str = "$") -> None:
+def _check(value, schema: dict, path: str = "$"):
     """Raise ConfigError at the first violation of schema by value.
+
+    Returns value with every integer-typed number an int (2.0 runs as 2);
+    items and properties are converted in place.
 
     Handles exactly the keywords CONFIG_SCHEMA uses: type, enum, minimum,
     exclusiveMinimum, minItems, uniqueItems, items, properties,
@@ -179,7 +183,7 @@ def _check(value, schema: dict, path: str = "$") -> None:
             fail(f"{value!r} has non-unique elements")
         if "items" in schema:
             for i, item in enumerate(value):
-                _check(item, schema["items"], f"{path}[{i}]")
+                value[i] = _check(item, schema["items"], f"{path}[{i}]")
     if isinstance(value, dict):
         properties = schema.get("properties", {})
         extra = sorted(key for key in value if key not in properties)
@@ -196,7 +200,8 @@ def _check(value, schema: dict, path: str = "$") -> None:
                     fail(f"{need!r} is a dependency of {key!r}")
         for key, sub in properties.items():
             if key in value:
-                _check(value[key], sub, f"{path}.{key}")
+                value[key] = _check(value[key], sub, f"{path}.{key}")
+    return int(value) if schema.get("type") == "integer" else value
 
 
 def _finite(text: str) -> float:
@@ -245,9 +250,7 @@ def load_config(path: str, overrides=()) -> dict:
         config = _json_value(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    config = apply_overrides(config, overrides)
-    _check(config, CONFIG_SCHEMA)
-    return config
+    return _check(apply_overrides(config, overrides), CONFIG_SCHEMA)
 
 
 def _from_config(section: str, build, *args, **kwargs):
@@ -304,7 +307,7 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
             eps = tuple(config.get("campaign", {}).get("epsilons", DEFAULT_EPSILONS))
             study = concentration_study(camp_cfg, records, epsilons=eps)
         texts["csv"] = records_to_csv(records, camp_cfg)
-        payload = summary_to_json(study, camp_cfg, __version__)
+        payload = summary_to_json(study, camp_cfg)
 
     elif subcommand == "hamming":
         ham = config.get("hamming", {})
@@ -393,9 +396,6 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config, args.overrides)
-    except ConfigError as exc:
-        return fail(EXIT_CONFIG, "config", str(exc))
-    try:
         written = run(args.subcommand, config, Path(args.output_dir))
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))

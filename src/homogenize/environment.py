@@ -91,9 +91,10 @@ class TorusGeometry:
 class DisorderLaw:
     """Single-bond marginal of the product environment measure.
 
-    Kinds: constant(a), uniform(a, b), two_point(a, b, p) and
-    discrete(values, probs).  Support must be strictly positive; the
-    ellipticity constant c is the smallest c >= 1 with support in [1/c, c].
+    Kinds: uniform(a, b) and the finite laws constant(a), two_point(a, b, p)
+    and discrete(values, probs), each drawn from its table of atoms
+    (`atoms()`).  Support must be strictly positive; the ellipticity
+    constant c is the smallest c >= 1 with support in [1/c, c].
     """
 
     kind: str
@@ -108,29 +109,21 @@ class DisorderLaw:
         if arity is not None and self.probs:
             raise ValueError(f"{self.kind} law takes no probs, "
                              f"got {len(self.probs)}")
-        if self.kind == "constant":
-            (a,) = self.params
-            if a <= 0:
-                raise SupportError(f"constant law needs a > 0, got {a}")
-        elif self.kind == "uniform":
+        atoms = self.atoms()
+        if atoms is None:
             a, b = self.params
             if not (0 < a <= b):
                 raise SupportError(f"uniform law needs 0 < a <= b, got ({a}, {b})")
-        elif self.kind == "two_point":
-            a, b, p = self.params
-            if a <= 0 or b <= 0:
-                raise SupportError(f"two_point values must be positive, got ({a}, {b})")
-            if not (0 <= p <= 1):
-                raise ValueError(f"two_point probability must be in [0, 1], got {p}")
-        elif self.kind == "discrete":
-            if len(self.params) == 0 or len(self.params) != len(self.probs):
-                raise ValueError("discrete law needs matching values and probs")
-            if min(self.params) <= 0:
-                raise SupportError("discrete law values must be positive")
-            if any(p < 0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-12:
-                raise ValueError("discrete law probabilities must be >= 0 and sum to 1")
-        else:
-            raise ValueError(f"unknown law kind {self.kind!r}")
+            return
+        values, probs = atoms
+        if len(values) == 0 or len(values) != len(probs):
+            raise ValueError(f"{self.kind} law needs matching values and probs")
+        if min(values) <= 0:
+            raise SupportError(f"{self.kind} law values must be positive, got {values}")
+        # written so that a NaN probability fails too
+        if not (all(q >= 0 for q in probs) and abs(sum(probs) - 1.0) <= 1e-12):
+            raise ValueError(f"{self.kind} law probabilities must be >= 0 and "
+                             f"sum to 1, got {probs}")
 
     @classmethod
     def constant(cls, a: float) -> "DisorderLaw":
@@ -144,15 +137,23 @@ class DisorderLaw:
     def two_point(cls, a: float, b: float, p: float = 0.5) -> "DisorderLaw":
         return cls("two_point", (float(a), float(b), float(p)))
 
-    def support_bounds(self) -> tuple[float, float]:
+    def atoms(self) -> tuple[tuple, tuple] | None:
+        """A finite law as (values, probabilities); None for the uniform law."""
         if self.kind == "constant":
-            return self.params[0], self.params[0]
-        if self.kind == "uniform":
-            return self.params[0], self.params[1]
+            return self.params, (1.0,)
         if self.kind == "two_point":
-            a, b, _ = self.params
-            return min(a, b), max(a, b)
-        return min(self.params), max(self.params)
+            a, b, p = self.params
+            return (a, b), (p, 1 - p)
+        if self.kind == "discrete":
+            return self.params, self.probs
+        if self.kind != "uniform":
+            raise ValueError(f"unknown law kind {self.kind!r}")
+        return None
+
+    def support_bounds(self) -> tuple[float, float]:
+        atoms = self.atoms()
+        ends = self.params if atoms is None else atoms[0]
+        return min(ends), max(ends)
 
     def ellipticity(self) -> float:
         """Smallest c >= 1 such that the support lies in [1/c, c]."""
@@ -161,26 +162,18 @@ class DisorderLaw:
 
     def mean_inverse(self) -> float:
         """E[1/xi] under the law; exact for every supported kind."""
-        if self.kind == "constant":
-            return 1.0 / self.params[0]
-        if self.kind == "uniform":
+        atoms = self.atoms()
+        if atoms is None:
             a, b = self.params
             return 1.0 / a if a == b else float(np.log(b / a) / (b - a))
-        if self.kind == "two_point":
-            a, b, p = self.params
-            return p / a + (1 - p) / b
-        return float(sum(q / v for v, q in zip(self.params, self.probs)))
+        return float(sum(q / v for v, q in zip(*atoms)))
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        if self.kind == "constant":
-            return np.full(size, self.params[0])
-        if self.kind == "uniform":
-            a, b = self.params
-            return rng.uniform(a, b, size)
-        if self.kind == "two_point":
-            a, b, p = self.params
-            return np.where(rng.random(size) < p, a, b)
-        return rng.choice(np.asarray(self.params), size=size, p=np.asarray(self.probs))
+        atoms = self.atoms()
+        if atoms is None:
+            return rng.uniform(*self.params, size)
+        values, probs = atoms
+        return rng.choice(np.asarray(values), size=size, p=np.asarray(probs))
 
     def to_json(self) -> dict:
         d = {"kind": self.kind, "params": list(self.params)}

@@ -312,15 +312,9 @@ def records_to_csv(records: list[ExperimentRecord], config: CampaignConfig) -> s
     return buf.getvalue()
 
 
-def summary_to_json(study: dict, config: CampaignConfig, version: str) -> dict:
+def summary_to_json(study: dict, config: CampaignConfig) -> dict:
     """Plot-ready JSON summary of a convergence or concentration study."""
-    cfg = config.to_json()
-    out = {
-        "config": cfg,
-        "config_hash": config_hash(cfg),
-        "version": version,
-        "table": [],
-    }
+    out = {"config": config.to_json(), "table": []}
     for row in study["table"]:
         item = {"N": row["N"]}
         for key, val in row.items():

@@ -12,6 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from homogenize import __version__
 from homogenize.cli import (CONFIG_SCHEMA, EXIT_CONFIG, EXIT_GUARD, EXIT_SOLVER,
                             SUBCOMMANDS, ConfigError, apply_overrides,
                             load_config, main)
@@ -63,6 +64,9 @@ def test_converge_writes_csv_and_json(tmp_path):
     assert csvs[0].read_text().splitlines()[0].startswith("seed,d,N,c,law")
     doc = json.loads(jsons[0].read_text())
     assert [row["N"] for row in doc["table"]] == [2, 4]
+    # the hash of the whole config, the one in the file name
+    assert jsons[0].stem.endswith("_" + doc["config_hash"])
+    assert doc["version"] == __version__
 
 
 def test_concentrate_reports_tail_frequencies(tmp_path):
@@ -229,6 +233,11 @@ def test_vector_length_mismatch_exits_2(tmp_path):
      "hamming.perturb_counts: [4, 4] has non-unique elements"),
     ("diffusivity", {"law": {"kind": "uniform", "params": [0.5, 2.0],
                              "probs": [0.3, 0.7]}}, "uniform law takes no probs"),
+    ("concentrate", {"campaign": {"N_list": [2], "replicas": 2,
+                                  "epsilons": [0.1, 0.1, 0.2]}},
+     "campaign.epsilons: [0.1, 0.1, 0.2] has non-unique elements"),
+    ("resolvent", {"resolvent": {"lambdas": [0.1, 0.1]}},
+     "resolvent.lambdas: [0.1, 0.1] has non-unique elements"),
     ("diffusivity", {"solver": {"tol": -1}}, "solver.tol"),
     ("diffusivity", {"solver": {"tol": 0}}, "solver.tol"),
     ("diffusivity", {"solver": {"tol": float("nan")}}, "NaN is not a finite"),
@@ -237,7 +246,8 @@ def test_vector_length_mismatch_exits_2(tmp_path):
         "N_list_repeated", "N_list_empty", "walk_t_zero", "spectral_n_negative",
         "spectral_walkers_without_n",
         "perturb_counts_empty", "perturb_counts_too_many",
-        "perturb_counts_repeated", "uniform_with_probs", "tol_negative",
+        "perturb_counts_repeated", "uniform_with_probs", "epsilons_repeated",
+        "lambdas_repeated", "tol_negative",
         "tol_zero", "tol_nan", "walk_t_nan"])
 def test_bad_config_values_exit_2_with_message(tmp_path, capsys, subcommand,
                                                extra, message):
@@ -357,6 +367,9 @@ ORACLE_TABLE = [  # (dotted path, new value or DELETE, accepted)
     ("hamming.perturb_counts", [4, 4.0], False),
     ("hamming.perturb_counts", [1, True], False),
     ("hamming.perturb_counts", [0, 1, 4], True),
+    ("campaign.epsilons", [0.1, 0.1], False),
+    ("campaign.epsilons", [0.1, 0.2], True),
+    ("resolvent.lambdas", [0.1, 0.1], False),
     # additionalProperties: false, at the root and in a section
     ("threads", 2, False), ("solver.max_iterations", 1, False),
     ("walk.bogus", 1, False), ("law.probs", [1.0], True),
@@ -470,3 +483,61 @@ def test_cli_imports_no_schema_library(tmp_path):
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "False"
+
+
+def integer_keys(schema, path=""):
+    """Dotted paths of the integer-typed keys of schema; `[]` marks items."""
+    if schema.get("type") == "integer":
+        return [path]
+    out = []
+    for key, sub in schema.get("properties", {}).items():
+        out += integer_keys(sub, f"{path}.{key}".lstrip("."))
+    if "items" in schema:
+        out += integer_keys(schema["items"], path + "[]")
+    return out
+
+
+# The subcommand that reads each integer key of CONFIG_SCHEMA.
+INTEGER_KEY_READERS = {
+    "geometry.dimension": "diffusivity", "geometry.half_period": "diffusivity",
+    "seed": "diffusivity", "campaign.N_list[]": "converge",
+    "campaign.replicas": "converge", "walk.walkers": "walk",
+    "spectral.walkers": "spectral", "hamming.perturb_counts[]": "hamming",
+    "hamming.trials": "hamming", "surface.max_steps": "surface-tension",
+}
+
+
+def test_integer_keys_are_the_ten_known():
+    assert sorted(integer_keys(CONFIG_SCHEMA)) == sorted(INTEGER_KEY_READERS)
+
+
+# FULL_CONFIG with enough descent steps for surface-tension to converge.
+RUNNABLE = edited(FULL_CONFIG, "surface.max_steps", 1000)
+
+
+def artifacts(tmp_path, doc, subcommand, name):
+    """(exit code, {artifact name: bytes}) of one run of doc."""
+    out = tmp_path / name
+    code = main([subcommand, "--config", write_config(tmp_path, doc, f"{name}.json"),
+                 "--output-dir", str(out)])
+    return code, {p.name: p.read_bytes() for p in out.glob("*")}
+
+
+@pytest.mark.parametrize("key", integer_keys(CONFIG_SCHEMA))
+def test_integer_valued_float_runs_as_the_integer(tmp_path, key):
+    path = key.removesuffix("[]")
+    section, _, name = path.rpartition(".")
+    value = (RUNNABLE[section] if section else RUNNABLE)[name]
+    as_float = [float(v) for v in value] if key.endswith("[]") else float(value)
+    subcommand = INTEGER_KEY_READERS[key]
+    code, files = artifacts(tmp_path, RUNNABLE, subcommand, "int")
+    assert code == 0 and files
+    assert artifacts(tmp_path, edited(RUNNABLE, path, as_float), subcommand,
+                     "float") == (code, files)
+
+
+def test_number_keys_keep_the_value_given(tmp_path):
+    config = load_config(write_config(tmp_path, FULL_CONFIG),
+                         ["walk.t=100.0", "seed=3.0"])
+    assert config["walk"]["t"] == 100.0 and isinstance(config["walk"]["t"], float)
+    assert config["seed"] == 3 and isinstance(config["seed"], int)

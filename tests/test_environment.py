@@ -77,6 +77,54 @@ def test_law_validation():
     for kind, params in (("constant", (1.0,)), ("two_point", (1.0, 2.0, 0.5))):
         with pytest.raises(ValueError, match=f"{kind} law takes no probs"):
             DisorderLaw(kind, params, (0.5, 0.5))
+    with pytest.raises(SupportError):
+        DisorderLaw.constant(0.0)
+    for p in (1.5, -0.1, float("nan")):  # a bad probability, not a bad support
+        with pytest.raises(ValueError) as info:
+            DisorderLaw.two_point(1.0, 2.0, p)
+        assert type(info.value) is ValueError
+
+
+def test_atom_tables():
+    assert DisorderLaw.uniform(0.5, 2.0).atoms() is None
+    assert DisorderLaw.constant(2.0).atoms() == ((2.0,), (1.0,))
+    assert DisorderLaw.two_point(0.5, 2.0, 0.3).atoms() == ((0.5, 2.0), (0.3, 0.7))
+    law = DisorderLaw("discrete", (0.5, 1.0, 2.0), (0.2, 0.3, 0.5))
+    assert law.atoms() == ((0.5, 1.0, 2.0), (0.2, 0.3, 0.5))
+
+
+def test_atom_draws_equal_the_per_kind_samplers_they_replace():
+    # constant was np.full, two_point a threshold on rng.random(size); both
+    # now draw through rng.choice, which inverts one rng.random per bond
+    for seed in range(4):
+        for size in (7, (3, 4), (50, 3)):
+            rng, ref = rng_for(seed), rng_for(seed)
+            got = DisorderLaw.constant(1.5).draw(rng, size)
+            assert np.array_equal(got, np.full(size, 1.5))
+            # np.full drew nothing; sample_environment and resample_bonds
+            # give every draw a fresh generator, so no caller sees the advance
+            ref.random(size)
+            assert rng.random() == ref.random()
+            for p in (0.0, 0.3, 0.5, 1.0):
+                rng, ref = rng_for(seed), rng_for(seed)
+                got = DisorderLaw.two_point(0.5, 2.0, p).draw(rng, size)
+                assert np.array_equal(got, np.where(ref.random(size) < p, 0.5, 2.0))
+                assert rng.random() == ref.random()
+
+
+def test_atom_closed_forms_equal_the_per_kind_formulas_they_replace():
+    for a in (0.25, 1.0, 3.0):
+        law = DisorderLaw.constant(a)
+        assert law.support_bounds() == (a, a)
+        assert law.ellipticity() == max(a, 1.0 / a, 1.0)
+        assert law.mean_inverse() == 1.0 / a
+    for a, b in ((0.5, 2.0), (3.0, 0.25), (1.0, 1.0)):
+        for p in (0.0, 0.3, 0.5, 1.0):
+            law = DisorderLaw.two_point(a, b, p)
+            lo, hi = min(a, b), max(a, b)
+            assert law.support_bounds() == (lo, hi)
+            assert law.ellipticity() == max(hi, 1.0 / lo, 1.0)
+            assert law.mean_inverse() == p / a + (1 - p) / b
 
 
 def test_law_mean_inverse():

@@ -281,8 +281,7 @@ def test_summary_to_json_round_trips():
     import json
     cfg = CampaignConfig(DisorderLaw.constant(1.0), 1, (2,), replicas=2)
     study = convergence_study(cfg, run_campaign(cfg))
-    doc = summary_to_json(study, cfg, version="0.1.0")
+    doc = summary_to_json(study, cfg)
     json.dumps(doc)
-    assert doc["version"] == "0.1.0"
-    assert len(doc["config_hash"]) == 8
+    assert doc["config"] == cfg.to_json()
     assert doc["table"][0]["N"] == 2
