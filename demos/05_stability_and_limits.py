@@ -29,7 +29,7 @@ for row in resolvent_convergence(fld, v, [1.0, 0.1, 0.01, 1e-4, 1e-8]):
 print("\nsingle-bond Hamming sensitivity of D_N^11 (40 trials each):")
 for n in (4, 8):
     big = sample_environment(law, TorusGeometry(2, n), seed=42)
-    out = hamming_sensitivity(big, perturb_counts=(1,), trials=40,
+    out = hamming_sensitivity(big, v, perturb_counts=(1,), trials=40,
                               law=law, seed=7)
     print(f"  side {2 * n:>2}: median |delta D| = {out['medians'][1]:.3e}")
 print("(the response shrinks with volume: one bond matters less and less)")

@@ -247,8 +247,8 @@ def load_config(path: str, overrides=()) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file {path!r} does not exist")
     try:
-        config = _json_value(p.read_text())
-    except json.JSONDecodeError as exc:
+        config = _json_value(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
     return _check(apply_overrides(config, overrides), CONFIG_SCHEMA)
 
@@ -305,21 +305,18 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
             study = convergence_study(camp_cfg, records)
         else:
             eps = tuple(config.get("campaign", {}).get("epsilons", DEFAULT_EPSILONS))
-            study = concentration_study(camp_cfg, records, epsilons=eps)
+            study = concentration_study(camp_cfg, records, v, epsilons=eps)
         texts["csv"] = records_to_csv(records, camp_cfg)
         payload = summary_to_json(study, camp_cfg)
 
     elif subcommand == "hamming":
         ham = config.get("hamming", {})
-        result = hamming_sensitivity(fld, ham.get("perturb_counts", [1, 4, 16]),
+        result = hamming_sensitivity(fld, v, ham.get("perturb_counts", [1, 4, 16]),
                                      ham.get("trials", 20), law, tol=tol,
                                      seed=seed)
-        payload = {
-            "pairs": [[f, d] for f, d in result["pairs"]],
-            "medians": {str(k): val for k, val in result["medians"].items()},
-            "exponent": result["exponent"],
-            "baseline": result["baseline"],
-        }
+        # str keys: with int keys sort_keys would put 16 after 4 and move bytes
+        payload = {**result, "medians": {str(k): val for k, val
+                                         in result["medians"].items()}}
 
     elif subcommand == "walk":
         walk = config.get("walk", {})

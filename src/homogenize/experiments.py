@@ -132,16 +132,17 @@ def convergence_study(config: CampaignConfig,
 
 
 def concentration_study(config: CampaignConfig,
-                        records: list[ExperimentRecord],
+                        records: list[ExperimentRecord], v,
                         epsilons=DEFAULT_EPSILONS) -> dict:
-    """Spread of D_N^{11} across run_campaign's replicas per torus size.
+    """Spread of (v, D_N v) across run_campaign's replicas per torus size.
 
     Reports the empirical standard deviation, the tail frequency beyond
     each epsilon, and the fitted exponent of std ~ N^-exponent.
     """
+    v = np.asarray(v, dtype=float)
     table = []
     for n in config.N_list:
-        vals = np.array([rec.entries[0, 0] for rec in records if rec.N == n])
+        vals = np.array([v @ rec.entries @ v for rec in records if rec.N == n])
         centered = np.abs(vals - vals.mean())
         table.append({
             "N": n,
@@ -158,13 +159,13 @@ def concentration_study(config: CampaignConfig,
     return {"table": table, "decay_exponent": exponent}
 
 
-def hamming_sensitivity(fld: BondField, perturb_counts, trials: int,
+def hamming_sensitivity(fld: BondField, v, perturb_counts, trials: int,
                         law: DisorderLaw, tol: float = DEFAULT_TOL,
                         seed: int = 0) -> dict:
-    """Response of D_N^{11} to resampling a few bonds.
+    """Response of (v, D_N v) to resampling a few bonds.
 
     For each count, resamples that many uniformly chosen bonds from law and
-    records (hamming fraction, |delta D_N^{11}|) pairs; a log-log fit over
+    records (hamming fraction, |delta (v, D_N v)|) pairs; a log-log fit over
     the nonzero pairs gives the reported exponent.  Only the decay to zero
     is a contract; the true Hoelder exponent is not asserted.  Above
     MAX_RECORDS pairs it raises SizeGuardError before any trial.
@@ -174,32 +175,26 @@ def hamming_sensitivity(fld: BondField, perturb_counts, trials: int,
         raise TooManyBondsError(f"cannot perturb {max(perturb_counts)} of the "
                                 f"{nbonds} bonds")
     _guard_records("hamming", len(perturb_counts) * trials)
-    e1 = np.zeros(fld.dimension)
-    e1[0] = 1.0
-    trials_run = [(count, trial) for count in perturb_counts
-                  for trial in range(trials)]
+    counts = np.repeat(perturb_counts, trials)
 
     def perturbed():
-        for count, trial in trials_run:
+        for count, trial in itertools.product(perturb_counts, range(trials)):
             rng = rng_for(seed, count, trial)
             bonds = rng.choice(nbonds, size=count, replace=False)
             yield resample_bonds(fld, bonds, law, seed=int(rng.integers(2 ** 63)))
 
     # the baseline and every perturbed field are solved in stacks
-    base, *values = effective_quadratics(itertools.chain([fld], perturbed()), e1,
+    base, *values = effective_quadratics(itertools.chain([fld], perturbed()), v,
                                          tol=tol)
-    pairs = [(count / nbonds, abs(val - base))
-             for (count, _), val in zip(trials_run, values)]
-    fracs = np.array([p[0] for p in pairs])
-    deltas = np.array([p[1] for p in pairs])
+    fracs = counts / nbonds
+    deltas = np.abs(np.array(values) - base)
     ok = (fracs > 0) & (deltas > 0)
     exponent = None
     if ok.sum() >= 2 and len(set(np.round(np.log(fracs[ok]), 12))) >= 2:
         exponent = float(np.polyfit(np.log(fracs[ok]), np.log(deltas[ok]), 1)[0])
-    counts = np.repeat(perturb_counts, trials)
     medians = {int(c): float(np.median(deltas[counts == c])) for c in perturb_counts}
-    return {"pairs": pairs, "medians": medians, "exponent": exponent,
-            "baseline": base}
+    return {"pairs": list(zip(fracs.tolist(), deltas.tolist())),
+            "medians": medians, "exponent": exponent, "baseline": base}
 
 
 def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,

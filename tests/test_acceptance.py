@@ -168,14 +168,14 @@ def test_criterion_07_convergence():
 def test_criterion_08_concentration(uniform_2d_campaign):
     start = time.monotonic()
     cfg2, records2 = uniform_2d_campaign
-    study2 = concentration_study(cfg2, records2)
+    study2 = concentration_study(cfg2, records2, np.eye(2)[0])
     stds = [row["std"] for row in study2["table"]]
     ratios = [b / a for a, b in zip(stds, stds[1:])]
     assert all(r <= 0.8 for r in ratios)
 
     cfg1 = CampaignConfig(UNIFORM, 1, (8, 16, 32, 64), replicas=200,
                           master_seed=0)
-    study1 = concentration_study(cfg1, run_campaign(cfg1))
+    study1 = concentration_study(cfg1, run_campaign(cfg1), np.eye(1)[0])
     exponent = study1["decay_exponent"]
     assert 0.35 <= exponent <= 0.65
     elapsed = time.monotonic() - start
@@ -214,8 +214,8 @@ def test_criterion_11_hamming_sensitivity():
     medians = {}
     for n in (8, 16):
         fld = sample_environment(UNIFORM, TorusGeometry(2, n), seed=42)
-        out = hamming_sensitivity(fld, perturb_counts=(1,), trials=100,
-                                  law=UNIFORM, seed=7)
+        out = hamming_sensitivity(fld, np.eye(2)[0], perturb_counts=(1,),
+                                  trials=100, law=UNIFORM, seed=7)
         medians[n] = out["medians"][1]
     assert medians[16] < medians[8]
     print(f"criterion 11 pass: single-bond medians {medians[8]:.2e} (N=8) -> "

@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -136,6 +137,9 @@ def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert run_cli("diffusivity", str(path), tmp_path) == EXIT_CONFIG
+    path.write_bytes(json.dumps(base_config()).encode() + b"\xff")  # not UTF-8
+    assert run_cli("diffusivity", str(path), tmp_path) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_size_guard_exit_code(tmp_path):
@@ -541,3 +545,23 @@ def test_number_keys_keep_the_value_given(tmp_path):
                          ["walk.t=100.0", "seed=3.0"])
     assert config["walk"]["t"] == 100.0 and isinstance(config["walk"]["t"], float)
     assert config["seed"] == 3 and isinstance(config["seed"], int)
+
+
+def without_hash(files):
+    """(suffix, bytes) of each artifact, its config_hash blanked."""
+    return sorted((Path(name).suffix,
+                   re.sub(rb'"config_hash": "[0-9a-f]{8}"', b"", data))
+                  for name, data in files.items())
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_every_scalar_subcommand_reads_vector(tmp_path, subcommand):
+    runs = {name: artifacts(tmp_path, doc, subcommand, name) for name, doc in (
+        ("unset", edited(RUNNABLE, "vector", DELETE)),
+        ("e1", edited(RUNNABLE, "vector", [1.0, 0.0])),
+        ("e2", edited(RUNNABLE, "vector", [0.0, 1.0])))}
+    assert all(code == 0 and files for code, files in runs.values())
+    unset, e1, e2 = (without_hash(files) for _, files in runs.values())
+    assert e1 == unset
+    # diffusivity and converge report the whole matrix, whatever the vector
+    assert (e2 == e1) == (subcommand in ("diffusivity", "converge"))

@@ -59,7 +59,7 @@ def test_convergence_ci_matches_record_spread():
 
 def test_concentration_constant_law_degenerate():
     cfg = CampaignConfig(DisorderLaw.constant(1.0), 1, (2, 4), replicas=3)
-    study = concentration_study(cfg, run_campaign(cfg))
+    study = concentration_study(cfg, run_campaign(cfg), np.eye(1)[0])
     for row in study["table"]:
         assert row["std"] <= 1e-10
         assert all(f == 0.0 for f in row["tail_frequency"].values())
@@ -69,9 +69,20 @@ def test_concentration_constant_law_degenerate():
 def test_concentration_tail_monotone_in_epsilon():
     cfg = CampaignConfig(DisorderLaw.uniform(0.5, 2.0), 1, (2,),
                          replicas=16, master_seed=5)
-    study = concentration_study(cfg, run_campaign(cfg), epsilons=(0.01, 0.05, 0.2))
+    study = concentration_study(cfg, run_campaign(cfg), np.eye(1)[0],
+                                epsilons=(0.01, 0.05, 0.2))
     freqs = list(study["table"][0]["tail_frequency"].values())
     assert freqs == sorted(freqs, reverse=True)
+
+
+def test_concentration_reads_the_given_direction():
+    cfg = CampaignConfig(DisorderLaw.uniform(0.5, 2.0), 2, (2, 4),
+                         replicas=4, master_seed=9)
+    records = run_campaign(cfg)
+    study = concentration_study(cfg, records, np.eye(2)[1])
+    for row in study["table"]:
+        assert row["mean"] == np.mean([r.entries[1, 1] for r in records
+                                       if r.N == row["N"]])
 
 
 def test_campaign_csv_reproducible():
@@ -132,7 +143,8 @@ def test_record_guards_refuse_before_any_seed(monkeypatch):
         with pytest.raises(SizeGuardError, match="record guard"):
             run_campaign(CampaignConfig(law, 2, (2, 4), replicas=over))
         with pytest.raises(SizeGuardError, match="record guard"):
-            hamming_sensitivity(fld, (1, 2), trials=over, law=law)
+            hamming_sensitivity(fld, np.eye(2)[0], (1, 2), trials=over,
+                                law=law)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -140,9 +152,10 @@ def test_record_guards_refuse_before_any_seed(monkeypatch):
     # the bound itself is allowed
     monkeypatch.setattr(experiments, "MAX_RECORDS", 6)
     assert len(run_campaign(CampaignConfig(law, 2, (1, 2), replicas=3))) == 6
-    assert len(hamming_sensitivity(fld, (1, 2), trials=3, law=law)["pairs"]) == 6
+    assert len(hamming_sensitivity(fld, np.eye(2)[0], (1, 2), trials=3,
+                               law=law)["pairs"]) == 6
     with pytest.raises(SizeGuardError):
-        hamming_sensitivity(fld, (1, 2), trials=4, law=law)
+        hamming_sensitivity(fld, np.eye(2)[0], (1, 2), trials=4, law=law)
 
 
 def test_campaign_streams_replicas(monkeypatch):
@@ -178,7 +191,8 @@ def test_one_d_routes_cross_validate():
 def test_hamming_zero_effect_under_constant_law():
     law = DisorderLaw.constant(1.0)
     fld = sample_environment(law, TorusGeometry(2, 2), 0)
-    out = hamming_sensitivity(fld, perturb_counts=(1, 4), trials=2, law=law)
+    out = hamming_sensitivity(fld, np.eye(2)[0], perturb_counts=(1, 4), trials=2,
+                              law=law)
     assert all(delta <= 1e-8 for _, delta in out["pairs"])
     assert out["exponent"] is None
 
@@ -190,25 +204,34 @@ def test_hamming_medians_group_by_exact_count(monkeypatch):
     # stand-in for D_N^{11}: the rate sum, which each resampled bond raises by 1
     monkeypatch.setattr(experiments, "effective_quadratics",
                         lambda fields, v, tol: (float(f.rates.sum()) for f in fields))
-    out = hamming_sensitivity(ones, (100_000, 100_001), trials=1,
+    out = hamming_sensitivity(ones, np.eye(2)[0], (100_000, 100_001), trials=1,
                               law=DisorderLaw.constant(2.0))
     assert out["medians"] == {100_000: 100_000.0, 100_001: 100_001.0}
 
 
+def test_hamming_reads_the_given_direction():
+    law = DisorderLaw.uniform(0.5, 2.0)
+    fld = sample_environment(law, TorusGeometry(2, 3), 21)
+    out = hamming_sensitivity(fld, np.eye(2)[1], (1,), trials=2, law=law)
+    assert abs(out["baseline"] - effective_matrix(fld).entries[1, 1]) <= 1e-8
+
+
 def test_hamming_requires_law():
     with pytest.raises(TypeError):
-        hamming_sensitivity(TWO_SITE, (1,), trials=1)
+        hamming_sensitivity(TWO_SITE, np.eye(1)[0], (1,), trials=1)
 
 
 def test_hamming_rejects_too_many_bonds():
     with pytest.raises(TooManyBondsError, match="cannot perturb 3 of the 2 bonds"):
-        hamming_sensitivity(TWO_SITE, (1, 3), trials=1, law=DisorderLaw.constant(1.0))
+        hamming_sensitivity(TWO_SITE, np.eye(1)[0], (1, 3), trials=1,
+                            law=DisorderLaw.constant(1.0))
 
 
 def test_hamming_deltas_small_and_recorded():
     law = DisorderLaw.uniform(0.5, 2.0)
     fld = sample_environment(law, TorusGeometry(2, 4), 13)
-    out = hamming_sensitivity(fld, perturb_counts=(1, 2), trials=3, law=law, seed=1)
+    out = hamming_sensitivity(fld, np.eye(2)[0], perturb_counts=(1, 2), trials=3,
+                              law=law, seed=1)
     assert len(out["pairs"]) == 6
     assert set(out["medians"]) == {1, 2}
     # single-bond edits move D only slightly on a 128-bond torus
