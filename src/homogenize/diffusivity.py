@@ -2,7 +2,10 @@
 
 (v, D_N v) is the energy 2 sum_i mean(xi_i w_i^2) of the corrected gradient
 w = v + grad chi, chi the corrector (effective_quadratic); identity_residuals
-checks the finite-volume identities on psi = grad chi of a solved corrector.
+checks the finite-volume identities on psi = grad chi of solved correctors.
+Energies, diagnostics and the D_N assembly run once per solved stack of
+correctors, member axis leading; each sum adds in a lone field's order, so
+every number is bit for bit that of the field solved alone.
 
 Normalization: the homogeneous medium with rate a has effective matrix
 2a * Identity (the factor-2 convention of the mean-square-displacement
@@ -16,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .environment import BondField, TorusGeometry
-from .operators import grad, div_star, local_drift, mean_rho
+from .operators import local_drift
 from .solver import (DEFAULT_TOL, SolveReport, solve_poisson,
                      solve_poisson_stream)
 
@@ -105,54 +108,69 @@ def corrector(fld: BondField, v, tol: float = DEFAULT_TOL) -> SolveReport:
     return solve_poisson(fld, local_drift(fld, v), tol=tol)
 
 
-def _corrected(v: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """The corrected gradient w = v + psi, v broadcast over the sites."""
-    return v.reshape((v.size,) + (1,) * v.size) + psi
+def _stack(arrays) -> np.ndarray:
+    """The arrays stacked on a new leading member axis; a lone one as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _energy(xi: np.ndarray, w: np.ndarray) -> float:
-    """Corrector energy 2 sum_i mean(xi_i w_i^2) of a corrected gradient w."""
-    return 2.0 * sum(mean_rho(xi[i] * w[i] ** 2) for i in range(len(w)))
+def _grad(u: np.ndarray) -> np.ndarray:
+    """grad of each member of a stack u of shape (M, *grid): shape (M, d, *grid)."""
+    return np.stack([np.roll(u, -1, axis=i) - u for i in range(1, u.ndim)],
+                    axis=1)
 
 
-def identity_residuals(fld: BondField, v, psi: np.ndarray) -> IdentityDiagnostics:
-    """Evaluate every finite-volume identity on psi = grad chi of a solved corrector."""
+def _mean(f: np.ndarray) -> np.ndarray:
+    """mean_rho of each member of a stack f of shape (M, *grid)."""
+    return f.reshape(len(f), -1).mean(axis=1)
+
+
+def _energy(xi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Energy 2 sum_i mean(xi_i w_i^2) of each member of a stack of corrected
+    gradients w, shape (M, d, *grid), with rates xi of the same shape."""
+    return 2.0 * sum(_mean(xi[:, i] * w[:, i] ** 2) for i in range(w.shape[1]))
+
+
+def identity_residuals(fields, v, psi: np.ndarray) -> list[IdentityDiagnostics]:
+    """One IdentityDiagnostics per solved corrector of a stack, member m in
+    direction v[m] on fields[m]: v of shape (M, d), psi[m] = grad chi_m of
+    shape (M, d, *grid).  A member's numbers do not depend on its mates."""
     v = np.asarray(v, dtype=float)
-    xi = fld.rates
-    d = fld.dimension
-    w = _corrected(v, psi)
-    flux = xi * w
+    d = v.shape[1]
+    xi = _stack([f.rates for f in fields])
+    flux = psi + v.reshape(v.shape + (1,) * d)   # the corrected gradient w
+    quad = _energy(xi, flux)
+    flux *= xi                           # in place: now the flux xi w
+    lin = 2.0 * sum(v[:, i] * _mean(flux[:, i]) for i in range(d))
+    div = np.zeros((len(v),) + psi.shape[2:])
+    for i in range(d):
+        div += np.roll(flux[:, i], 1, axis=i + 1) - flux[:, i]
+    flux_div = np.abs(div).reshape(len(v), -1).max(axis=1)
+    del flux, div   # the rest reads psi alone: free d + 1 grids first
 
-    quad = _energy(xi, w)
-    lin = 2.0 * sum(v[i] * mean_rho(flux[i]) for i in range(d))
+    ortho = np.abs(sum(_mean(xi[:, i] * psi[:, i] ** 2) for i in range(d))
+                   + sum(v[:, i] * _mean(xi[:, i] * psi[:, i]) for i in range(d)))
 
-    ortho = abs(sum(mean_rho(xi[i] * psi[i] ** 2) for i in range(d))
-                + sum(v[i] * mean_rho(xi[i] * psi[i]) for i in range(d)))
-
-    curl = 0.0
+    curl = np.zeros(len(v))
     for i in range(d):
         for k in range(i + 1, d):
-            mixed = np.roll(psi[k], -1, axis=i) - psi[k] \
-                - (np.roll(psi[i], -1, axis=k) - psi[i])
-            curl = max(curl, float(np.abs(mixed).max()))
+            mixed = np.roll(psi[:, k], -1, axis=i + 1) - psi[:, k] \
+                - (np.roll(psi[:, i], -1, axis=k + 1) - psi[:, i])
+            curl = np.maximum(curl, np.abs(mixed).reshape(len(v), -1).max(axis=1))
 
-    flux_div = float(np.abs(div_star(flux)).max())
+    l2 = np.max([_mean(psi[:, i] ** 2) for i in range(d)], axis=0)
 
-    vnorm2 = float(v @ v)
-    l2_margin = fld.ellipticity ** 2 * vnorm2 \
-        - max(mean_rho(psi[i] ** 2) for i in range(d))
+    speed = np.sqrt(np.sum(psi * psi, axis=1))
+    lp = {p: _mean(speed ** p) for p in LP_EXPONENTS}
 
-    speed = np.sqrt(np.sum(psi * psi, axis=0))
-    lp = {p: float(np.mean(speed ** p) ** (1.0 / p)) for p in LP_EXPONENTS}
-
-    return IdentityDiagnostics(
-        orthogonality_residual=ortho,
-        curl_residual=curl,
-        flux_divergence_residual=flux_div,
-        l2_bound_margin=l2_margin,
-        lp_norms=lp,
-        quadratic_linear_gap=abs(quad - lin),
-    )
+    return [IdentityDiagnostics(
+        orthogonality_residual=float(ortho[m]),
+        curl_residual=float(curl[m]),
+        flux_divergence_residual=float(flux_div[m]),
+        l2_bound_margin=fld.ellipticity ** 2 * float(v[m] @ v[m]) - float(l2[m]),
+        # a scalar power: ** (1 / p) on the array moves the last digit
+        lp_norms={p: float(lp[p][m] ** (1.0 / p)) for p in LP_EXPONENTS},
+        quadratic_linear_gap=float(abs(quad[m] - lin[m])),
+    ) for m, fld in enumerate(fields)]
 
 
 def effective_quadratic(fld: BondField, v, tol: float = DEFAULT_TOL) -> float:
@@ -171,8 +189,10 @@ def effective_quadratics(fields, v, tol: float = DEFAULT_TOL):
     """
     v = np.asarray(v, dtype=float)
     members = ((fld, local_drift(fld, v)) for fld in fields)
-    for fld, rep in solve_poisson_stream(members, tol=tol):
-        yield _energy(fld.rates, _corrected(v, grad(rep.solution)))
+    for stack in solve_poisson_stream(members, tol=tol):
+        w = _grad(_stack([rep.solution for _, rep in stack]))
+        w += v.reshape((len(v),) + (1,) * len(v))   # in place: now v + grad chi
+        yield from _energy(_stack([fld.rates for fld, _ in stack]), w).tolist()
 
 
 def effective_matrix(fld: BondField, tol: float = DEFAULT_TOL) -> EffectiveMatrix:
@@ -191,41 +211,51 @@ def effective_matrices(fields, tol: float = DEFAULT_TOL):
 
     The basis correctors of consecutive fields are solved together in stacks
     (solve_poisson_stream), and fields are pulled only as the stacks need
-    them, so a long stream holds one stack's fields at a time.  Each
-    solution is dropped once its gradient is taken.
+    them, so a long stream holds one stack's fields at a time.  Each stack's
+    diagnostics take one call, and its complete fields are assembled at
+    once; a field split between stacks waits for its last corrector.
     """
     members = ((fld, local_drift(fld, e)) for fld in fields
                for e in np.eye(fld.dimension))
-    corrected, diagnostics, iterations = [], [], 0
-    for fld, rep in solve_poisson_stream(members, tol=tol):
-        d = fld.dimension
-        e_j = np.eye(d)[len(corrected)]
-        iterations += rep.iterations
-        psi = grad(rep.solution)
-        diagnostics.append(identity_residuals(fld, e_j, psi))
-        psi += e_j.reshape((d,) + (1,) * d)  # in place: now e_j + grad chi_j
-        corrected.append(psi)
-        if len(corrected) == d:
-            yield _matrix(fld, corrected, diagnostics, iterations)
-            corrected, diagnostics, iterations = [], [], 0
+    part = []   # (field, w^j, diagnostics, iterations) of incomplete fields
+    for stack in solve_poisson_stream(members, tol=tol):
+        flds = [fld for fld, _ in stack]
+        iterations = [rep.iterations for _, rep in stack]
+        psi = _grad(_stack([rep.solution for _, rep in stack]))
+        del stack   # each solution is dropped once its gradient is taken
+        d = psi.shape[1]
+        e = np.eye(d)[(len(part) + np.arange(len(flds))) % d]
+        diagnostics = identity_residuals(flds, e, psi)
+        psi += e.reshape(e.shape + (1,) * d)   # in place: now e_j + grad chi_j
+        part += zip(flds, psi, diagnostics, iterations)
+        whole = len(part) // d * d
+        if whole:
+            yield from _matrices(*zip(*part[:whole]))
+            part = part[whole:]
 
 
-def _matrix(fld: BondField, corrected: list, diagnostics: list,
-            iterations: int) -> EffectiveMatrix:
-    """effective_matrix from the corrected gradients e_j + grad chi_j of fld."""
-    d = fld.dimension
-    fluxes = [fld.rates * w for w in corrected]
-    quad = np.zeros((d, d))
-    linear = np.zeros((d, d))
+def _matrices(flds, w, diagnostics, iterations):
+    """effective_matrix of each field from its d correctors' entries, in
+    order; w holds their corrected gradients e_j + grad chi_j."""
+    d = len(w[0])
+    flds = flds[::d]
+    w = [_stack(w[j::d]) for j in range(d)]   # w^j of every field
+    xi = _stack([f.rates for f in flds])
+    quad = np.zeros((len(flds), d, d))
+    linear = np.zeros((len(flds), d, d))
     for i in range(d):
+        flux = xi * w[i]
         for j in range(d):
-            quad[i, j] = 2.0 * sum(mean_rho(fluxes[i][k] * corrected[j][k])
-                                   for k in range(d))
-            linear[i, j] = 2.0 * mean_rho(fluxes[j][i])
-    asymmetry = float(np.linalg.norm(linear - linear.T))
-    return EffectiveMatrix(fld.geometry, 0.5 * (quad + quad.T),
-                           0.5 * (linear + linear.T), asymmetry,
-                           diagnostics, iterations)
+            quad[:, i, j] = 2.0 * sum(_mean(flux[:, k] * w[j][:, k])
+                                      for k in range(d))
+            linear[:, j, i] = 2.0 * _mean(flux[:, j])
+    for f, fld in enumerate(flds):
+        lin = linear[f]
+        yield EffectiveMatrix(fld.geometry, 0.5 * (quad[f] + quad[f].T),
+                              0.5 * (lin + lin.T),
+                              float(np.linalg.norm(lin - lin.T)),
+                              list(diagnostics[f * d:(f + 1) * d]),
+                              sum(iterations[f * d:(f + 1) * d]))
 
 
 def one_d_exact(fld: BondField) -> float:

@@ -12,9 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Most sites of a sampled torus.  effective_matrix peaks about 250 bytes a
-# site above the interpreter at d = 3 (d = 3, N = 24, the largest bench
-# torus, is 110,592 sites), so a solve at this bound needs about 1 GB.
+# Most sites of a sampled torus.  effective_matrix peaks about 135 bytes a
+# site above the interpreter at d = 3 (tracemalloc: 134 at N = 12, 128 at
+# N = 24, the largest bench torus, 110,592 sites), so a solve at this bound
+# needs about 0.6 GB.
 MAX_SITES = 2 ** 22
 
 

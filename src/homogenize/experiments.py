@@ -268,8 +268,8 @@ def resolvent_convergence(fld: BondField, v, lam_list,
     for lam in lam_list:
         chi_lam = solve_resolvent(fld, phi, lam, tol=tol).solution
         delta = grad(chi_lam) - psi
-        rows.append({"lam": float(lam),
-                     "discrepancy": float(0.5 * _energy(fld.rates, delta))})
+        energy = _energy(fld.rates[None], delta[None])[0]
+        rows.append({"lam": float(lam), "discrepancy": float(0.5 * energy)})
     return rows
 
 

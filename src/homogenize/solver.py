@@ -43,8 +43,8 @@ STACK_SITES = 2 ** 13
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration cap exceeded; carries the worst stalled member's last
-    relative residual and the cap."""
+    """Iteration cap reached, or no finite CG step left; carries the worst
+    failed member's last relative residual and its iterations."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -138,11 +138,23 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
     z = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv, s=shape, axes=axes)
     p = z.copy()
     rz = dot(r, z)
+    res = normb   # the residual of x = 0, relative residual 1
     for k in itertools.count(1):
         ap = -generator(xi, p)
         if lam:
             ap += lam * p
-        alpha = (rz / dot(p, ap)).reshape(col)
+        # a member fails at its cap, or once r.z or p.Ap underflows (far
+        # below any useful tol) and no finite step is left
+        pap = dot(p, ap)
+        alpha = np.divide(rz, pap, out=np.full_like(rz, np.nan),
+                          where=(rz > 0) & (pap > 0))
+        failed = (caps < k) | ~np.isfinite(alpha)
+        if failed.any():
+            worst = float((res[failed] / normb[failed]).max())
+            raise ConvergenceError(
+                f"CG stopped short of tol {tol} after {k - 1} iterations "
+                f"(last relative residual {worst:.3e})", worst, k - 1)
+        alpha = alpha.reshape(col)
         x += alpha * p
         r -= alpha * ap
         if not lam:
@@ -161,12 +173,6 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
             live, x, r, p, rz, res, normb, caps, inv = (
                 a[keep] for a in (live, x, r, p, rz, res, normb, caps, inv))
             xi = xi[:, keep]
-        stalled = caps <= k
-        if stalled.any():
-            worst = float((res[stalled] / normb[stalled]).max())
-            raise ConvergenceError(
-                f"CG did not reach tol {tol} in {k} iterations "
-                f"(last relative residual {worst:.3e})", worst, k)
         z = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv, s=shape, axes=axes)
         rz_new = dot(r, z)
         p = z + (rz_new / rz).reshape(col) * p
@@ -213,25 +219,25 @@ def _solve_stack(stack, tol: float) -> list:
 
 
 def solve_poisson_stream(members, tol: float = DEFAULT_TOL):
-    """Yield (fld, solve_poisson(fld, g)) for each (fld, g) of an iterable, in order.
+    """Solve each (fld, g) of an iterable, one stack at a time, in order.
 
     Consecutive members on one torus are solved as one stack of at most
-    STACK_SITES sites (at least one member).  Members are pulled one stack
-    at a time, so memory is bounded by the cap, not by the member count, and
-    each report is bit for bit the one a solve on its own gives.
+    STACK_SITES sites (at least one member), and each stack is yielded as
+    the list of its (fld, solve_poisson(fld, g)) pairs.  Members are pulled
+    one stack at a time, so memory is bounded by the cap, not by the member
+    count, and each report is bit for bit the one a solve on its own gives.
     """
     stack = []
     for member in members:
         if stack and member[1].shape != stack[0][1].shape:
-            yield from _solve_stack(stack, tol)
+            yield _solve_stack(stack, tol)
             stack = []
         stack.append(member)
-        del member   # the stream holds no right side while a report is used
         if len(stack) >= max(1, STACK_SITES // stack[0][1].size):
-            reports, stack = _solve_stack(stack, tol), []
-            yield from reports
+            yield _solve_stack(stack, tol)
+            stack = []
     if stack:
-        yield from _solve_stack(stack, tol)
+        yield _solve_stack(stack, tol)
 
 
 def dense_operator(fld: BondField) -> np.ndarray:

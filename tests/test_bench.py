@@ -1,5 +1,7 @@
 """The benchmark's self-test runs against the package as it stands."""
 
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -14,3 +16,26 @@ def test_bench_selftest_passes():
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_campaign_times_the_stacked_diagnostics(tmp_path, monkeypatch):
+    # the tracer wraps identity_residuals by name: the toy campaign's traced
+    # passes must see it called and timed
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    session = importlib.import_module("session")
+    workloads = importlib.import_module("workloads")
+    # run_session reports its trace file relative to the source root
+    monkeypatch.setattr(session, "ROOT", tmp_path)
+    invocations = workloads.session("campaign", 3, toy=True)
+    result = session.run_session("campaign", invocations, 3, 0, True,
+                                 tmp_path / "work")
+    assert result["correct"], result["problems"]
+    assert result["per_layer"]["diffusivity.diagnostics_s"] > 0
+    header, *spans = (tmp_path / result["trace_file"]).read_text().splitlines()
+    fields = json.loads(header)["fields"]
+    name, at = fields.index("name"), fields.index("pass")
+    passes = [span[at] for span in map(json.loads, spans)
+              if span[name] == "identity_residuals"]
+    # one call per solved stack: the toy converge solves each of its two
+    # torus sizes as one stack, in each of the two traced passes
+    assert sorted(passes) == [2, 2, 3, 3]

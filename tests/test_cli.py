@@ -162,6 +162,16 @@ def test_solver_failure_exit_code(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_solver_breakdown_exits_3_with_a_finite_residual(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_config(
+        law={"kind": "uniform", "params": [0.2, 5.0]}))
+    assert run_cli("diffusivity", cfg, tmp_path,
+                   "--set", "solver.tol=1e-300") == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "stopped short" in err and "nan" not in err.lower()
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("subcommand,section", [
     ("converge", {"campaign": {"N_list": [2, 4], "replicas": 3}}),
     ("hamming", {"hamming": {"perturb_counts": [1, 2], "trials": 3}}),

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -118,8 +119,8 @@ def test_effective_matrix_consistency_and_bounds():
     assert mat.quadratic_form(v) == pytest.approx(direct, rel=1e-7)
     # the matrix path and the single-vector paths agree per basis vector
     for j, e_j in enumerate(np.eye(2)):
-        alone = identity_residuals(
-            fld, e_j, grad(corrector(fld, e_j, tol=TOL).solution))
+        alone, = identity_residuals(
+            [fld], [e_j], grad(corrector(fld, e_j, tol=TOL).solution)[None])
         assert mat.diagnostics[j] == alone
         assert mat.entries[j, j] == pytest.approx(
             effective_quadratic(fld, e_j, tol=TOL), rel=1e-12)
@@ -161,7 +162,7 @@ def test_one_d_exact_values():
 def test_identity_residuals_constant_environment():
     fld = sample_environment(DisorderLaw.constant(1.0), TorusGeometry(2, 2), 0)
     psi = grad(corrector(fld, [1.0, 0.0]).solution)
-    diag = identity_residuals(fld, [1.0, 0.0], psi)
+    diag, = identity_residuals([fld], [[1.0, 0.0]], psi[None])
     assert diag.orthogonality_residual <= 1e-12
     assert diag.curl_residual <= 1e-12
     assert diag.flux_divergence_residual <= 1e-12
@@ -173,7 +174,7 @@ def test_identity_residuals_two_site_constant_flux():
     psi = grad(chi)
     flux = TWO_SITE.rates[0] * (1.0 + psi[0])
     assert np.allclose(flux, 4 / 3)
-    diag = identity_residuals(TWO_SITE, [1.0], psi)
+    diag, = identity_residuals([TWO_SITE], [[1.0]], psi[None])
     assert diag.flux_divergence_residual <= 1e-12
     assert diag.quadratic_linear_gap <= 1e-12
     assert diag.curl_residual == 0.0  # no mixed pairs in d = 1
@@ -187,12 +188,45 @@ def test_identity_residual_thresholds(d, N):
         v = rng_for(seed, d, 5).normal(size=d)
         vnorm = np.linalg.norm(v)
         psi = grad(corrector(fld, v, tol=TOL).solution)
-        diag = identity_residuals(fld, v, psi)
+        diag, = identity_residuals([fld], [v], psi[None])
         assert diag.orthogonality_residual <= 100 * TOL * vnorm ** 2 * c
         assert diag.curl_residual <= 1e-12
         assert diag.flux_divergence_residual <= 100 * TOL * c * vnorm
         assert diag.l2_bound_margin >= -1e-8
         assert diag.quadratic_linear_gap <= 100 * TOL * c * vnorm ** 2
+
+
+def test_stacked_diagnostics_fail_member_by_member():
+    # one stack of four correctors, the third scaled by 1.1: it alone trips
+    # the criterion-4 thresholds, and its stack-mates read as they do alone
+    c = UNIFORM.ellipticity()
+    flds = [sample_environment(UNIFORM, TorusGeometry(2, 3), seed + 70)
+            for seed in range(4)]
+    v = rng_for(7, 2, 3).normal(size=(4, 2))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    psi = np.stack([grad(corrector(fld, vm, tol=TOL).solution)
+                    for fld, vm in zip(flds, v)])
+    psi[2] *= 1.1
+    diags = identity_residuals(flds, v, psi)
+    for m, diag in enumerate(diags):
+        tripped = (diag.flux_divergence_residual > 100 * TOL * c
+                   or diag.orthogonality_residual > 100 * TOL * c)
+        assert tripped == (m == 2)
+        if m != 2:
+            assert diag == identity_residuals([flds[m]], v[m:m + 1],
+                                              psi[m:m + 1])[0]
+
+
+def test_effective_matrix_memory_per_site():
+    # MAX_SITES in environment.py rests on this figure
+    fld = sample_environment(UNIFORM, TorusGeometry(3, 12), 5)
+    tracemalloc.start()
+    try:
+        effective_matrix(fld, tol=TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / fld.geometry.volume < 200
 
 
 def test_matrix_serialization():

@@ -134,6 +134,33 @@ def test_campaign_rows_independent_of_replica_count(monkeypatch):
             for e in np.eye(2))
 
 
+def test_campaign_rows_independent_of_stack_width_in_d3(monkeypatch):
+    # stacks of 4 and 64 members split a field's three correctors between
+    # two stacks; every row is the same bytes as at width 1
+    from homogenize import solver
+    cfg = CampaignConfig(DisorderLaw.uniform(0.5, 2.0), 3, (1, 2), replicas=32,
+                         master_seed=3)
+    stacks = []
+    real_cg = solver._cg
+    monkeypatch.setattr(solver, "_cg", lambda f, b, lam, tol: (
+        stacks.append(len(f)) or real_cg(f, b, lam, tol)))
+    csv = {}
+    for width in (1, 4, 64):   # members per stack at N = 2 (64 sites)
+        monkeypatch.setattr(solver, "STACK_SITES", 64 * width)
+        stacks.clear()
+        records = run_campaign(cfg)
+        csv[width] = records_to_csv(records, cfg)
+        assert width in stacks
+    assert len(csv[1].splitlines()) == 1 + 2 * 32
+    assert csv[4] == csv[1] and csv[64] == csv[1]
+    # at width 64, replica 21's correctors are members 63 to 65 at N = 2
+    rec = records[32 + 21]
+    fld = sample_environment(cfg.law, TorusGeometry(3, 2), rec.seed)
+    mat = effective_matrix(fld, tol=cfg.tol)
+    assert np.array_equal(rec.entries, mat.entries)
+    assert rec.diagnostics == IdentityDiagnostics.worst(mat.diagnostics)
+
+
 def test_record_guards_refuse_before_any_seed(monkeypatch):
     law = DisorderLaw.uniform(0.5, 2.0)
     fld = sample_environment(law, TorusGeometry(2, 2), 0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,18 @@ def test_iteration_cap_raises(monkeypatch):
     assert residuals[1] == pytest.approx(residuals[0], rel=1e-9)
 
 
+def test_breakdown_raises_at_once_with_a_finite_residual():
+    # at tol 1e-300 the residual falls until r.z underflows; CG then has no
+    # finite step left and stops there, not at the cap with a nan residual
+    fld = sample_environment(DisorderLaw.uniform(0.2, 5.0), TorusGeometry(2, 2), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="stopped short") as exc:
+            solve_poisson(fld, local_drift(fld, [1.0, 0.0]), tol=1e-300)
+    assert np.isfinite(exc.value.residual) and 0 < exc.value.residual < 1e-100
+    assert exc.value.iterations < _maxiter(fld, 1e-300) // 10
+
+
 def test_nonpositive_tolerance_rejected():
     g = np.array([1.0, -1.0])
     for tol in (0.0, -1.0):
@@ -229,8 +243,10 @@ def test_stream_cuts_stacks_at_the_site_cap(monkeypatch):
     for cap, widths in [(1, [1] * 11), (64, [4, 2, 1, 4]), (2 ** 13, [6, 1, 4])]:
         monkeypatch.setattr(solver, "STACK_SITES", cap)
         stacks.clear()
-        out = list(solver.solve_poisson_stream(iter(members)))
+        solved = list(solver.solve_poisson_stream(iter(members)))
         assert stacks == widths
+        assert [len(stack) for stack in solved] == widths
+        out = [pair for stack in solved for pair in stack]
         assert [fld for fld, _ in out] == [fld for fld, _ in members]
         for (_, rep), ref in zip(out, expected):
             assert np.array_equal(rep.solution, ref.solution)
