@@ -1,11 +1,14 @@
 """Three stability views: surface tension, resolvent limit, Hamming edits.
 
 The surface tension sigma_N(v) -- the per-site cost of tilting the harmonic
-interface by slope v, minimized by Barzilai-Borwein descent rather than
-conjugate gradients -- must equal a quarter of the quadratic form.  The
-resolvent solution chi_lambda converges to the corrector as lambda -> 0.
-And resampling a handful of bonds moves D_N only slightly, less so on
-larger tori.
+interface by slope v, minimized by Laplacian-preconditioned Barzilai-Borwein
+descent rather than conjugate gradients -- must equal a quarter of the
+quadratic form.  The descent borrows only CG's preconditioner, as a search
+direction: its energy, gradient and stop rule are its own, so a wrong
+preconditioner could slow it but not move the minimizer, and the check stays
+independent of CG.  The resolvent solution chi_lambda converges to the
+corrector as lambda -> 0.  And resampling a handful of bonds moves D_N only
+slightly, less so on larger tori.
 """
 
 import numpy as np

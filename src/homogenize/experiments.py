@@ -27,7 +27,8 @@ from .operators import grad, local_drift, div_star
 from .diffusivity import (LP_EXPONENTS, IdentityDiagnostics, _energy, corrector,
                           effective_matrices, effective_quadratic,
                           effective_quadratics)
-from .solver import DEFAULT_TOL, ConvergenceError, solve_resolvent
+from .solver import (DEFAULT_TOL, ConvergenceError, _inverse_symbols,
+                     _precondition, solve_resolvent)
 
 
 class TooManyBondsError(ValueError):
@@ -202,12 +203,13 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
     """Tilting free energy per site, and its quarter-form cross-check.
 
     The energy  mean over sites of sum_i xi_i (v_i + grad_i f)^2  is
-    minimized by projected Barzilai-Borwein gradient descent (mean removed
-    every step), deliberately a different algorithm family from the
-    conjugate-gradient corrector route so the check is non-circular.  It
-    stops at gradient norm <= tol * initial norm, CG's relative rule.
-    Returns (sigma, quarter_form, |sigma - quarter_form|).  If max_steps
-    steps fall short, the ConvergenceError carries the final gradient norm
+    minimized by Laplacian-preconditioned Barzilai-Borwein descent along
+    z = P g, P the symbol CG uses (mean removed every step).  It stays
+    independent of CG: the energy, its gradient and the stop rule
+    ||g|| <= tol ||g_0|| come from grad and div_star alone, so a wrong P
+    can only slow or stall the descent, never move the minimizer.  Returns
+    (sigma, quarter_form, |sigma - quarter_form|).  If max_steps steps
+    fall short, the ConvergenceError carries the final gradient norm
     relative to the initial one.
     """
     v = np.asarray(v, dtype=float)
@@ -215,6 +217,8 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
     d = fld.dimension
     vol = fld.geometry.volume
     vgrid = v.reshape((d,) + (1,) * d)
+    axes = tuple(range(-d, 0))
+    inv = _inverse_symbols([fld], 0.0)[0]
 
     def gradient(f):
         g = (2.0 / vol) * div_star(xi * (vgrid + grad(f)))
@@ -226,21 +230,21 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
     g = gradient(f)
     gnorm = g0norm = np.linalg.norm(g)
     gtol = tol * g0norm
-    f_prev = g_prev = None
+    f_prev = g_prev = z = None
     for _ in range(max_steps):
         if gnorm <= gtol:
             break
-        if f_prev is None:
-            # exact line search on the quadratic for the first step
-            dir_curv = float(np.sum(xi * grad(g) ** 2)) * 2.0 / vol
-            alpha = gnorm ** 2 / dir_curv
+        z, z_prev = _precondition(g, inv, axes), z
+        # BB2 along z, with P y = z - z_prev (no second FFT round trip); an
+        # exact line search on the first step and wherever <y, P y> <= 0
+        y = None if z_prev is None else g - g_prev
+        yz = 0.0 if y is None else float(np.vdot(y, z - z_prev))
+        if yz > 0:
+            alpha = float(np.vdot(f - f_prev, y)) / yz
         else:
-            s = f - f_prev
-            y = g - g_prev
-            sy = float(np.vdot(s, y))
-            alpha = float(np.vdot(s, s)) / sy if sy > 0 else 1.0 / fld.ellipticity
+            alpha = float(np.vdot(g, z)) / (float(np.sum(xi * grad(z) ** 2)) * 2.0 / vol)
         f_prev, g_prev = f, g
-        f = f - alpha * g
+        f = f - alpha * z
         f -= f.mean()
         g = gradient(f)
         gnorm = np.linalg.norm(g)

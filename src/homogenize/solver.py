@@ -88,6 +88,12 @@ def _inverse_symbols(fields, lam: float) -> np.ndarray:
     return np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
 
 
+def _precondition(r: np.ndarray, inv: np.ndarray, axes: tuple) -> np.ndarray:
+    """Apply an rfftn symbol inv to r over the grid axes by one FFT round trip."""
+    return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv,
+                         s=[r.shape[a] for a in axes], axes=axes)
+
+
 def _cg(fields, b: np.ndarray, lam: float, tol: float):
     """Preconditioned CG from zero for (lam - L_b) u_b = b[b], one member per field.
 
@@ -135,7 +141,7 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
     r = b[live]
     if not lam:
         center(r)
-    z = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv, s=shape, axes=axes)
+    z = _precondition(r, inv, axes)
     p = z.copy()
     rz = dot(r, z)
     res = normb   # the residual of x = 0, relative residual 1
@@ -173,7 +179,7 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
             live, x, r, p, rz, res, normb, caps, inv = (
                 a[keep] for a in (live, x, r, p, rz, res, normb, caps, inv))
             xi = xi[:, keep]
-        z = np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv, s=shape, axes=axes)
+        z = _precondition(r, inv, axes)
         rz_new = dot(r, z)
         p = z + (rz_new / rz).reshape(col) * p
         rz = rz_new

@@ -305,6 +305,49 @@ def test_surface_tension_budget_exhaustion():
     assert gap <= 1e-12
 
 
+def test_surface_tension_steps_flat_in_n():
+    # the Laplacian-preconditioned descent takes about as many steps on
+    # every torus (29, 42 and 42 here), so one cap serves N = 4 to 64
+    law = DisorderLaw.uniform(0.2, 5.0)
+    for N in (4, 16, 64):
+        fld = sample_environment(law, TorusGeometry(2, N), 5)
+        sigma, _, gap = surface_tension(fld, [1.0, 0.0], max_steps=80)
+        assert gap <= 1e-12 * sigma
+
+
+def test_surface_tension_independent_of_the_preconditioner(monkeypatch):
+    # P enters only the descent direction and the scale-free steps; the
+    # energy, its gradient and the stop rule never read it
+    inverse_symbols = experiments._inverse_symbols
+    fld = sample_environment(DisorderLaw.uniform(0.2, 5.0), TorusGeometry(2, 16), 3)
+    v = [1.0, 0.5]
+    sigma = surface_tension(fld, v)[0]
+
+    def patched(factor, max_steps=experiments.DEFAULT_MAX_STEPS):
+        monkeypatch.setattr(experiments, "_inverse_symbols",
+                            lambda fields, lam: factor * inverse_symbols(fields, lam))
+        return surface_tension(fld, v, max_steps=max_steps)[0]
+
+    def residual_after(steps, factor):
+        with pytest.raises(ConvergenceError) as info:
+            patched(factor, max_steps=steps)
+        return info.value.residual
+
+    # a power-of-two scale commutes with every rounding: the same descent,
+    # step by step
+    for factor in (0.125, 8.0):
+        assert residual_after(10, factor) == residual_after(10, 1.0)
+        assert patched(factor) == sigma
+    # any other scale moves the iterates by rounding alone, and sigma, flat
+    # at the minimizer, by an ulp or so
+    for factor in (0.1, 10.0):
+        assert abs(patched(factor) - sigma) <= 4 * np.spacing(sigma)
+    # a wrong positive symbol may slow the descent, not move its minimizer
+    rng = np.random.default_rng(0)
+    factor = rng.uniform(0.1, 10.0, inverse_symbols([fld], 0.0).shape)
+    assert patched(factor) == pytest.approx(sigma, rel=1e-12, abs=0)
+
+
 def test_resolvent_convergence_two_site_value():
     rows = resolvent_convergence(TWO_SITE, [1.0], lam_list=[1.0])
     assert abs(rows[0]["discrepancy"] - 1 / 294) <= 1e-12
