@@ -4,8 +4,8 @@
 w = v + grad chi, chi the corrector (effective_quadratic); identity_residuals
 checks the finite-volume identities on psi = grad chi of solved correctors.
 Energies, diagnostics and the D_N assembly run once per solved stack of
-correctors, member axis leading; each sum adds in a lone field's order, so
-every number is bit for bit that of the field solved alone.
+correctors, in the layout of operators; each sum adds in a lone field's
+order, so every number is bit for bit that of the field solved alone.
 
 Normalization: the homogeneous medium with rate a has effective matrix
 2a * Identity (the factor-2 convention of the mean-square-displacement
@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .environment import BondField, TorusGeometry
-from .operators import local_drift
+from .environment import BondField, GeometryMismatchError, TorusGeometry
+from .operators import div_star, grad, local_drift, mean_rho, stack_members
 from .solver import (DEFAULT_TOL, SolveReport, solve_poisson,
                      solve_poisson_stream)
 
@@ -108,59 +108,46 @@ def corrector(fld: BondField, v, tol: float = DEFAULT_TOL) -> SolveReport:
     return solve_poisson(fld, local_drift(fld, v), tol=tol)
 
 
-def _stack(arrays) -> np.ndarray:
-    """The arrays stacked on a new leading member axis; a lone one as a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _grad(u: np.ndarray) -> np.ndarray:
-    """grad of each member of a stack u of shape (M, *grid): shape (M, d, *grid)."""
-    return np.stack([np.roll(u, -1, axis=i) - u for i in range(1, u.ndim)],
-                    axis=1)
-
-
-def _mean(f: np.ndarray) -> np.ndarray:
-    """mean_rho of each member of a stack f of shape (M, *grid)."""
-    return f.reshape(len(f), -1).mean(axis=1)
-
-
-def _energy(xi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Energy 2 sum_i mean(xi_i w_i^2) of each member of a stack of corrected
-    gradients w, shape (M, d, *grid), with rates xi of the same shape."""
-    return 2.0 * sum(_mean(xi[:, i] * w[:, i] ** 2) for i in range(w.shape[1]))
+def _energy(xi: np.ndarray, w: np.ndarray):
+    """Energy 2 sum_i mean(xi_i w_i^2) of a corrected gradient w, or of each
+    member of a stack of them, with rates xi of the same shape."""
+    d = len(w)
+    return 2.0 * sum(mean_rho(xi[i] * w[i] ** 2, d) for i in range(d))
 
 
 def identity_residuals(fields, v, psi: np.ndarray) -> list[IdentityDiagnostics]:
     """One IdentityDiagnostics per solved corrector of a stack, member m in
-    direction v[m] on fields[m]: v of shape (M, d), psi[m] = grad chi_m of
-    shape (M, d, *grid).  A member's numbers do not depend on its mates."""
+    direction v[m] on fields[m]: v of shape (M, d), psi of shape (d, M, *grid)
+    with psi[:, m] = grad chi_m.  A member's numbers do not depend on its mates."""
     v = np.asarray(v, dtype=float)
-    d = v.shape[1]
-    xi = _stack([f.rates for f in fields])
-    flux = psi + v.reshape(v.shape + (1,) * d)   # the corrected gradient w
+    grid = fields[0].geometry.grid_shape
+    M, d = len(fields), len(grid)
+    if v.shape != (M, d) or psi.shape != (d, M) + grid:
+        raise GeometryMismatchError(
+            f"expected v of shape (M, d) = {(M, d)} and psi of shape (d, M, "
+            f"*grid) = {(d, M) + grid}, got {v.shape} and {psi.shape}")
+    xi = stack_members([f.rates for f in fields], d)
+    flux = psi + v.T.reshape(v.T.shape + (1,) * d)   # the corrected gradient w
     quad = _energy(xi, flux)
     flux *= xi                           # in place: now the flux xi w
-    lin = 2.0 * sum(v[:, i] * _mean(flux[:, i]) for i in range(d))
-    div = np.zeros((len(v),) + psi.shape[2:])
-    for i in range(d):
-        div += np.roll(flux[:, i], 1, axis=i + 1) - flux[:, i]
-    flux_div = np.abs(div).reshape(len(v), -1).max(axis=1)
-    del flux, div   # the rest reads psi alone: free d + 1 grids first
+    lin = 2.0 * sum(v[:, i] * mean_rho(flux[i], d) for i in range(d))
+    flux_div = np.abs(div_star(flux)).reshape(M, -1).max(axis=1)
+    del flux   # the rest reads psi alone: free d grids first
 
-    ortho = np.abs(sum(_mean(xi[:, i] * psi[:, i] ** 2) for i in range(d))
-                   + sum(v[:, i] * _mean(xi[:, i] * psi[:, i]) for i in range(d)))
+    ortho = np.abs(sum(mean_rho(xi[i] * psi[i] ** 2, d) for i in range(d))
+                   + sum(v[:, i] * mean_rho(xi[i] * psi[i], d) for i in range(d)))
 
-    curl = np.zeros(len(v))
+    curl = np.zeros(M)
     for i in range(d):
         for k in range(i + 1, d):
-            mixed = np.roll(psi[:, k], -1, axis=i + 1) - psi[:, k] \
-                - (np.roll(psi[:, i], -1, axis=k + 1) - psi[:, i])
-            curl = np.maximum(curl, np.abs(mixed).reshape(len(v), -1).max(axis=1))
+            mixed = np.roll(psi[k], -1, axis=i - d) - psi[k] \
+                - (np.roll(psi[i], -1, axis=k - d) - psi[i])
+            curl = np.maximum(curl, np.abs(mixed).reshape(M, -1).max(axis=1))
 
-    l2 = np.max([_mean(psi[:, i] ** 2) for i in range(d)], axis=0)
+    l2 = np.max([mean_rho(psi[i] ** 2, d) for i in range(d)], axis=0)
 
-    speed = np.sqrt(np.sum(psi * psi, axis=1))
-    lp = {p: _mean(speed ** p) for p in LP_EXPONENTS}
+    speed = np.sqrt(np.sum(psi * psi, axis=0))
+    lp = {p: mean_rho(speed ** p, d) for p in LP_EXPONENTS}
 
     return [IdentityDiagnostics(
         orthogonality_residual=float(ortho[m]),
@@ -188,11 +175,13 @@ def effective_quadratics(fields, v, tol: float = DEFAULT_TOL):
     are pulled only as the stacks need them.
     """
     v = np.asarray(v, dtype=float)
+    d = len(v)
     members = ((fld, local_drift(fld, v)) for fld in fields)
     for stack in solve_poisson_stream(members, tol=tol):
-        w = _grad(_stack([rep.solution for _, rep in stack]))
-        w += v.reshape((len(v),) + (1,) * len(v))   # in place: now v + grad chi
-        yield from _energy(_stack([fld.rates for fld, _ in stack]), w).tolist()
+        w = grad(stack_members([rep.solution for _, rep in stack], d), d)
+        w += v.reshape((d,) + (1,) * (d + 1))   # in place: now v + grad chi
+        yield from _energy(stack_members([fld.rates for fld, _ in stack], d),
+                           w).tolist()
 
 
 def effective_matrix(fld: BondField, tol: float = DEFAULT_TOL) -> EffectiveMatrix:
@@ -221,13 +210,13 @@ def effective_matrices(fields, tol: float = DEFAULT_TOL):
     for stack in solve_poisson_stream(members, tol=tol):
         flds = [fld for fld, _ in stack]
         iterations = [rep.iterations for _, rep in stack]
-        psi = _grad(_stack([rep.solution for _, rep in stack]))
+        d = flds[0].dimension
+        psi = grad(stack_members([rep.solution for _, rep in stack], d), d)
         del stack   # each solution is dropped once its gradient is taken
-        d = psi.shape[1]
         e = np.eye(d)[(len(part) + np.arange(len(flds))) % d]
         diagnostics = identity_residuals(flds, e, psi)
-        psi += e.reshape(e.shape + (1,) * d)   # in place: now e_j + grad chi_j
-        part += zip(flds, psi, diagnostics, iterations)
+        psi += e.T.reshape(e.T.shape + (1,) * d)   # in place: now e_j + grad chi_j
+        part += zip(flds, psi.swapaxes(0, 1), diagnostics, iterations)
         whole = len(part) // d * d
         if whole:
             yield from _matrices(*zip(*part[:whole]))
@@ -239,16 +228,16 @@ def _matrices(flds, w, diagnostics, iterations):
     order; w holds their corrected gradients e_j + grad chi_j."""
     d = len(w[0])
     flds = flds[::d]
-    w = [_stack(w[j::d]) for j in range(d)]   # w^j of every field
-    xi = _stack([f.rates for f in flds])
+    w = [stack_members(w[j::d], d) for j in range(d)]   # w^j of every field
+    xi = stack_members([f.rates for f in flds], d)
     quad = np.zeros((len(flds), d, d))
     linear = np.zeros((len(flds), d, d))
     for i in range(d):
         flux = xi * w[i]
         for j in range(d):
-            quad[:, i, j] = 2.0 * sum(_mean(flux[:, k] * w[j][:, k])
+            quad[:, i, j] = 2.0 * sum(mean_rho(flux[k] * w[j][k], d)
                                       for k in range(d))
-            linear[:, j, i] = 2.0 * _mean(flux[:, j])
+            linear[:, j, i] = 2.0 * mean_rho(flux[j], d)
     for f, fld in enumerate(flds):
         lin = linear[f]
         yield EffectiveMatrix(fld.geometry, 0.5 * (quad[f] + quad[f].T),

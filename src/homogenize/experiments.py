@@ -272,7 +272,7 @@ def resolvent_convergence(fld: BondField, v, lam_list,
     for lam in lam_list:
         chi_lam = solve_resolvent(fld, phi, lam, tol=tol).solution
         delta = grad(chi_lam) - psi
-        energy = _energy(fld.rates[None], delta[None])[0]
+        energy = _energy(fld.rates, delta)
         rows.append({"lam": float(lam), "discrepancy": float(0.5 * energy)})
     return rows
 

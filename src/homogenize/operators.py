@@ -1,10 +1,12 @@
 """Discrete calculus on the torus and the environment generator, matrix-free.
 
-Scalar fields are arrays of shape (2N,)*d; vector fields carry a leading
-direction axis, shape (d, 2N, ..., 2N).  All wraps are periodic via np.roll.
-The generator is applied in flux form straight from the field's rates: the
-flux across the bond (x, x + e_i) is xi_i(x) grad_i f(x), and L f = -div* of
-it, so no rolled copy of the rates is kept.
+One layout serves a field and a stack of M fields on one torus: direction
+axis first, then the member axis, the grid axes (2N,)*d last.  Each
+operator indexes the grid axes from the end, so a member of a stack reads
+bit for bit as the field alone.  All wraps are periodic via np.roll.  The
+generator is applied in flux form straight from the field's rates: the
+flux across the bond (x, x + e_i) is xi_i(x) grad_i f(x), and L f = -div*
+of it, so no rolled copy of the rates is kept.
 
 Conventions (L is nonpositive definite, -L is the solver's operator):
     (grad_i f)(x)   = f(x + e_i) - f(x)
@@ -20,9 +22,11 @@ import numpy as np
 from .environment import BondField, GeometryMismatchError
 
 
-def grad(f: np.ndarray) -> np.ndarray:
-    """Forward difference in each direction with periodic wrap."""
-    return np.stack([np.roll(f, -1, axis=i) - f for i in range(f.ndim)])
+def grad(f: np.ndarray, d: int | None = None) -> np.ndarray:
+    """Forward difference in each direction with periodic wrap, over the
+    last d axes of f (all of them by default)."""
+    d = f.ndim if d is None else d
+    return np.stack([np.roll(f, -1, axis=i - d) - f for i in range(d)])
 
 
 def div_star(g: np.ndarray) -> np.ndarray:
@@ -30,8 +34,15 @@ def div_star(g: np.ndarray) -> np.ndarray:
     d = g.shape[0]
     out = np.zeros(g.shape[1:])
     for i in range(d):
-        out += np.roll(g[i], 1, axis=i) - g[i]
+        out += np.roll(g[i], 1, axis=i - d) - g[i]
     return out
+
+
+def stack_members(arrays, d: int) -> np.ndarray:
+    """arrays stacked on a member axis before their last d (grid) axes, so
+    the rates of fields stack as (d, M, *grid); a lone one as a view."""
+    return (np.expand_dims(arrays[0], -d - 1) if len(arrays) == 1
+            else np.stack(arrays, axis=-d - 1))
 
 
 def _check(fld: BondField, f: np.ndarray):
@@ -47,12 +58,8 @@ def apply_generator(fld: BondField, f: np.ndarray) -> np.ndarray:
 
 
 def generator(xi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """L f in flux form from rates xi of shape (d, *lead, *grid).
-
-    The grid axes are the trailing d axes of f, so f may be one field
-    (shape grid) or a stack of fields (shape (B, *grid)) with xi[i] of
-    the same shape, each member with its own rates.
-    """
+    """L f in flux form from rates xi: one field, or a stack whose members
+    each have their own rates."""
     d = xi.shape[0]
     out = np.zeros_like(f)
     for i in range(d):
@@ -78,6 +85,10 @@ def local_drift(fld: BondField, v) -> np.ndarray:
     return out
 
 
-def mean_rho(f: np.ndarray) -> float:
-    """Mean over sites, i.e. expectation under the uniform torus measure."""
-    return float(f.mean())
+def mean_rho(f: np.ndarray, d: int | None = None) -> float | np.ndarray:
+    """Mean over sites, i.e. expectation under the uniform torus measure,
+    over the last d axes of f (all of them by default): a float for one
+    field, an array of the members' means for a stack."""
+    if d is None or d == f.ndim:
+        return float(f.mean())
+    return f.reshape(f.shape[:-d] + (-1,)).mean(axis=-1)

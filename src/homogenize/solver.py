@@ -31,7 +31,7 @@ import numpy as np
 
 from .environment import (BondField, GeometryMismatchError, SizeGuardError,
                           move_table)
-from .operators import generator, mean_rho
+from .operators import generator, mean_rho, stack_members
 
 DEFAULT_TOL = 1e-10
 DENSE_GUARD = 4096
@@ -120,7 +120,7 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
         return np.vecdot(u.reshape(len(u), -1), v.reshape(len(v), -1))
 
     def center(u):
-        u -= u.reshape(len(u), -1).mean(axis=1).reshape(col)
+        u -= mean_rho(u, d).reshape(col)
 
     iterations = np.zeros(len(b), dtype=int)
     residuals = np.zeros(len(b))
@@ -132,9 +132,7 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
         return solutions, iterations, residuals
     members = [fields[i] for i in live]
     caps = np.array([_maxiter(f, tol) for f in members])
-    # a stack of one reads its field's rates in place, without a copy
-    xi = (members[0].rates[:, None] if len(members) == 1
-          else np.stack([f.rates for f in members], axis=1))
+    xi = stack_members([f.rates for f in members], d)
     inv = _inverse_symbols(members, lam)
     normb = normb[live]
     x = np.zeros((live.size,) + shape)

@@ -90,7 +90,7 @@ def test_criterion_04_identity_suite():
             v = rng.standard_normal(d)
             v /= np.linalg.norm(v)
             psi = grad(corrector(fld, v).solution)
-            diag, = identity_residuals([fld], [v], psi[None])
+            diag, = identity_residuals([fld], [v], psi[:, None])
             assert diag.orthogonality_residual <= 100 * DEFAULT_TOL * c
             assert diag.curl_residual <= 1e-12
             assert diag.flux_divergence_residual <= 100 * DEFAULT_TOL * c

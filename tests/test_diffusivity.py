@@ -7,8 +7,8 @@ import pytest
 from homogenize.diffusivity import (LP_EXPONENTS, IdentityDiagnostics, corrector,
                                     effective_matrix, effective_quadratic,
                                     identity_residuals, one_d_exact)
-from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
-                                    rng_for, sample_environment)
+from homogenize.environment import (BondField, DisorderLaw, GeometryMismatchError,
+                                    TorusGeometry, rng_for, sample_environment)
 from homogenize.operators import grad, mean_rho
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
@@ -120,7 +120,7 @@ def test_effective_matrix_consistency_and_bounds():
     # the matrix path and the single-vector paths agree per basis vector
     for j, e_j in enumerate(np.eye(2)):
         alone, = identity_residuals(
-            [fld], [e_j], grad(corrector(fld, e_j, tol=TOL).solution)[None])
+            [fld], [e_j], grad(corrector(fld, e_j, tol=TOL).solution)[:, None])
         assert mat.diagnostics[j] == alone
         assert mat.entries[j, j] == pytest.approx(
             effective_quadratic(fld, e_j, tol=TOL), rel=1e-12)
@@ -162,7 +162,7 @@ def test_one_d_exact_values():
 def test_identity_residuals_constant_environment():
     fld = sample_environment(DisorderLaw.constant(1.0), TorusGeometry(2, 2), 0)
     psi = grad(corrector(fld, [1.0, 0.0]).solution)
-    diag, = identity_residuals([fld], [[1.0, 0.0]], psi[None])
+    diag, = identity_residuals([fld], [[1.0, 0.0]], psi[:, None])
     assert diag.orthogonality_residual <= 1e-12
     assert diag.curl_residual <= 1e-12
     assert diag.flux_divergence_residual <= 1e-12
@@ -174,7 +174,7 @@ def test_identity_residuals_two_site_constant_flux():
     psi = grad(chi)
     flux = TWO_SITE.rates[0] * (1.0 + psi[0])
     assert np.allclose(flux, 4 / 3)
-    diag, = identity_residuals([TWO_SITE], [[1.0]], psi[None])
+    diag, = identity_residuals([TWO_SITE], [[1.0]], psi[:, None])
     assert diag.flux_divergence_residual <= 1e-12
     assert diag.quadratic_linear_gap <= 1e-12
     assert diag.curl_residual == 0.0  # no mixed pairs in d = 1
@@ -188,7 +188,7 @@ def test_identity_residual_thresholds(d, N):
         v = rng_for(seed, d, 5).normal(size=d)
         vnorm = np.linalg.norm(v)
         psi = grad(corrector(fld, v, tol=TOL).solution)
-        diag, = identity_residuals([fld], [v], psi[None])
+        diag, = identity_residuals([fld], [v], psi[:, None])
         assert diag.orthogonality_residual <= 100 * TOL * vnorm ** 2 * c
         assert diag.curl_residual <= 1e-12
         assert diag.flux_divergence_residual <= 100 * TOL * c * vnorm
@@ -197,24 +197,41 @@ def test_identity_residual_thresholds(d, N):
 
 
 def test_stacked_diagnostics_fail_member_by_member():
-    # one stack of four correctors, the third scaled by 1.1: it alone trips
-    # the criterion-4 thresholds, and its stack-mates read as they do alone
+    # one stack of correctors, member bad scaled by 1.1: it alone trips the
+    # criterion-4 thresholds, and its stack-mates read as they do alone.
+    # With as many members as directions (M = d = 2) a psi stacked member
+    # first has the shape of one stacked direction first: only the
+    # member-by-member equality tells the two layouts apart.
     c = UNIFORM.ellipticity()
-    flds = [sample_environment(UNIFORM, TorusGeometry(2, 3), seed + 70)
-            for seed in range(4)]
-    v = rng_for(7, 2, 3).normal(size=(4, 2))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    psi = np.stack([grad(corrector(fld, vm, tol=TOL).solution)
-                    for fld, vm in zip(flds, v)])
-    psi[2] *= 1.1
-    diags = identity_residuals(flds, v, psi)
-    for m, diag in enumerate(diags):
-        tripped = (diag.flux_divergence_residual > 100 * TOL * c
-                   or diag.orthogonality_residual > 100 * TOL * c)
-        assert tripped == (m == 2)
-        if m != 2:
-            assert diag == identity_residuals([flds[m]], v[m:m + 1],
-                                              psi[m:m + 1])[0]
+    for members, bad in ((4, 2), (2, 1)):
+        flds = [sample_environment(UNIFORM, TorusGeometry(2, 3), seed + 70)
+                for seed in range(members)]
+        v = rng_for(7, 2, 3).normal(size=(members, 2))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        psi = np.stack([grad(corrector(fld, vm, tol=TOL).solution)
+                        for fld, vm in zip(flds, v)], axis=1)
+        psi[:, bad] *= 1.1
+        diags = identity_residuals(flds, v, psi)
+        for m, diag in enumerate(diags):
+            tripped = (diag.flux_divergence_residual > 100 * TOL * c
+                       or diag.orthogonality_residual > 100 * TOL * c)
+            assert tripped == (m == bad)
+            if m != bad:
+                assert diag == identity_residuals([flds[m]], v[m:m + 1],
+                                                  psi[:, m:m + 1])[0]
+
+
+@pytest.mark.parametrize("d,N", [(1, 4), (2, 1)])
+def test_identity_residuals_reject_a_wrong_layout(d, N):
+    fld = sample_environment(UNIFORM, TorusGeometry(d, N), 3)
+    v = np.eye(d)[:1]
+    psi = grad(corrector(fld, v[0], tol=TOL).solution)[:, None]
+    # no member axis on psi, then on v; one member too many; member first
+    # (the same shape as direction first when d = 1)
+    cases = [(v, psi[:, 0]), (v[0], psi), (np.vstack([v, v]), psi)]
+    for bad_v, bad_psi in cases + [(v, psi.swapaxes(0, 1))] * (d > 1):
+        with pytest.raises(GeometryMismatchError, match=r"\(d, M, \*grid\)"):
+            identity_residuals([fld], bad_v, bad_psi)
 
 
 def test_effective_matrix_memory_per_site():
@@ -226,7 +243,7 @@ def test_effective_matrix_memory_per_site():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / fld.geometry.volume < 200
+    assert peak / fld.geometry.volume < 160
 
 
 def test_matrix_serialization():

@@ -5,7 +5,7 @@ from homogenize.environment import (BondField, DisorderLaw, GeometryMismatchErro
                                     TorusGeometry, move_table, rng_for,
                                     sample_environment)
 from homogenize.operators import (apply_generator, div_star, grad, local_drift,
-                                  mean_rho)
+                                  mean_rho, stack_members)
 from homogenize.solver import dense_operator
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
@@ -16,6 +16,10 @@ def random_field(d, N, seed):
     return sample_environment(law, TorusGeometry(d, N), seed)
 
 
+# stacks of M fields on a torus of side 8 in d dimensions
+STACKS = [(d, M) for d in (1, 2, 3) for M in (1, 3)]
+
+
 def test_grad_basics():
     f = np.full((4, 4), 3.7)
     assert np.all(grad(f) == 0.0)
@@ -24,6 +28,18 @@ def test_grad_basics():
     rng = rng_for(1)
     f = rng.normal(size=(4, 4, 4))
     assert np.allclose(grad(f).sum(axis=(1, 2, 3)), 0.0, atol=1e-12)
+    # a stack of fields: direction first, then the members
+    for d, M in STACKS:
+        f = rng.normal(size=(M,) + (8,) * d)
+        g = grad(f, d)
+        assert g.shape == (d, M) + (8,) * d
+        for m in range(M):
+            assert np.array_equal(g[:, m], grad(f[m]))
+        assert np.array_equal(stack_members(list(f), d), f)
+        rates = [rng.normal(size=(d,) + (8,) * d) for _ in range(M)]
+        assert np.array_equal(stack_members(rates, d), np.stack(rates, axis=1))
+        # a lone member is a view
+        assert np.shares_memory(stack_members(rates[:1], d), rates[0])
 
 
 def test_div_star_hand_example():
@@ -35,13 +51,20 @@ def test_div_star_hand_example():
 def test_adjointness(d, N):
     rng = rng_for(10, d, N)
     shape = (2 * N,) * d
-    for _ in range(5):
-        f = rng.normal(size=shape)
-        g = rng.normal(size=(d,) + shape)
-        lhs = np.vdot(grad(f), g).real
-        rhs = np.vdot(f, div_star(g)).real
-        scale = np.linalg.norm(f) * np.linalg.norm(g)
-        assert abs(lhs - rhs) <= 1e-12 * scale
+    # one field (no member axis), then stacks of 1 and 3 members
+    for lead in ((), (1,), (3,)):
+        for _ in range(5):
+            f = rng.normal(size=lead + shape)
+            g = rng.normal(size=(d,) + lead + shape)
+            grad_f, div_g = grad(f, d), div_star(g)
+            for m in np.ndindex(lead):   # m = () for one field
+                fm, gm = f[m], g[(slice(None),) + m]
+                assert np.array_equal(grad_f[(slice(None),) + m], grad(fm))
+                assert np.array_equal(div_g[m], div_star(gm))
+                lhs = np.vdot(grad(fm), gm).real
+                rhs = np.vdot(fm, div_g[m]).real
+                scale = np.linalg.norm(fm) * np.linalg.norm(gm)
+                assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_generator_constant_kernel():
@@ -92,6 +115,12 @@ def test_local_drift():
 def test_mean_rho():
     assert mean_rho(np.full((4, 4), 2.5)) == 2.5
     assert mean_rho(np.array([0.0, 1.0])) == 0.5
+    rng = rng_for(11)
+    for d, M in STACKS:
+        f = rng.normal(size=(M,) + (8,) * d)
+        means = mean_rho(f, d)
+        assert means.shape == (M,)
+        assert means.tolist() == [mean_rho(f[m]) for m in range(M)]
 
 
 @pytest.mark.parametrize("d,N", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
