@@ -7,12 +7,17 @@ unwrapped on Z^d while the moves are read off the torus's move table.
 
 Batches of walkers start at the origin or at uniform torus sites.  Each
 numpy sweep advances the live set: the walkers whose clocks have not passed
-the horizon, kept compacted in ascending walker order.  A sweep draws one
-exponential per live walker and then one uniform per walker still before the
-horizon, both in walker order.  A walker whose clock passes the horizon is
-written out once, end site and displacement, and dropped from the live set.
-The result is a pure function of (environment, horizon, walkers, seed,
-start).  walk_batch is the one walk entry point.
+the horizon, kept compacted in ascending walker order as four arrays of
+walker ids, site rows, clocks and packed displacements.  A site row is
+site * 2d, so row + move indexes the per-site tables directly.  A packed
+displacement holds each axis in 62 // d bits of one int64; it is unpacked
+into the walker's displacement, and reset, before an axis can overflow its
+bits (every 2^(62 // d - 1) - 1 sweeps) and when the walker is written out.
+A sweep draws one exponential per live walker and then one uniform per
+walker still before the horizon, both in walker order.  A walker whose clock
+passes the horizon is written out once, end site and displacement, and
+dropped from the live set.  The result is a pure function of (environment,
+horizon, walkers, seed, start).  walk_batch is the one walk entry point.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
     if walkers > MAX_WALKERS:
         raise SizeGuardError(f"{walkers} walkers exceed the guard {MAX_WALKERS}")
     geom = fld.geometry
+    d = geom.dimension
     rates, targets = move_table(fld)
     cum = np.cumsum(rates, axis=1)
     holding = cum[:, -1]
@@ -51,44 +57,69 @@ def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
         raise SizeGuardError(f"up to {jumps:.3g} expected jumps exceed the "
                              f"guard {MAX_JUMPS}")
     moves = rates.shape[1]
-    # inverse-CDF thresholds, one contiguous row per move but the last, whose
-    # threshold is exactly 1 > u
-    thresholds = np.ascontiguousarray((cum[:, :-1] / holding[:, None]).T)
-    # axis_step[i][k] is the step along axis i of move k: +e_1, -e_1, +e_2, ...
-    axis_step = np.kron(np.eye(geom.dimension, dtype=np.int64), [1, -1])
-    targets = targets.ravel()
+    # Tables of volume * moves entries, read at row + j where a walker's row
+    # is site * moves: table holds a site's inverse-CDF thresholds of moves
+    # 0 .. moves - 2 (the last move's would be 1, above every u) and then
+    # its holding rate, so column j is the view table[j:]; next_rows and
+    # steps hold each move's target row and packed step.
+    table = cum / holding[:, None]
+    table[:, -1] = holding
+    table = table.ravel()
+    thresholds = [table[j:] for j in range(moves - 1)]
+    holding = table[moves - 1:]
+    next_rows = targets.ravel() * moves
+    # A packed code keeps axis i of a displacement in bits [bits i, bits i +
+    # bits), offset by half, so zero packs 0 and move +-e_i adds +-radix_i.
+    # A sweep moves an axis by at most 1, so unpacking every half - 1 sweeps
+    # keeps each field in [0, 2 half).  bits >= 2 needs d <= 31: MAX_SITES
+    # caps a sampled torus at d <= 22, and a field with d >= 31 has at least
+    # 2^31 sites, too many to allocate.
+    bits = 62 // d
+    half = 2 ** (bits - 1)
+    shifts = bits * np.arange(d, dtype=np.int64)
+    radix = 1 << shifts
+    zero = half * int(radix.sum())
+    steps = np.tile(np.kron(radix, [1, -1]), geom.volume)
+
+    def unpack(code):
+        return ((code[:, None] >> shifts) & (2 * half - 1)) - half
+
     rng = rng_for(seed)
     if start == "origin":
-        pos = np.zeros(walkers, dtype=np.int64)
+        start_sites = np.zeros(walkers, dtype=np.int64)
     elif start == "uniform":
-        pos = rng.integers(0, geom.volume, size=walkers)
+        start_sites = rng.integers(0, geom.volume, size=walkers)
     else:
         raise ValueError(f"unknown start mode {start!r}")
-    start_sites = pos   # the loop rebinds pos and never writes into it
-    disp = np.zeros((walkers, geom.dimension), dtype=np.int64)
+    disp = np.zeros((walkers, d), dtype=np.int64)
     end_sites = np.empty_like(start_sites)
-    # the live set: walker ids, sites, clocks and (d, n) displacements
+    # the live set: walker ids, site rows, clocks and packed displacements
     ids = np.arange(walkers)
+    rows = start_sites * moves
     clock = np.zeros(walkers)
-    live_disp = np.zeros((geom.dimension, walkers), dtype=np.int64)
+    code = np.full(walkers, zero)
+    sweeps = 0
     while ids.size:
-        clock += rng.standard_exponential(ids.size) / holding.take(pos)
+        clock += rng.standard_exponential(ids.size) / holding.take(rows)
         alive = clock <= t
         if not alive.all():
             done = ~alive
-            end_sites[ids[done]] = pos[done]
-            disp[ids[done]] = live_disp[:, done].T
-            ids, pos, clock = ids[alive], pos[alive], clock[alive]
-            live_disp = live_disp[:, alive]
+            out = ids[done]
+            end_sites[out] = rows[done] // moves
+            disp[out] += unpack(code[done])
+            ids, rows, clock, code = ids[alive], rows[alive], clock[alive], code[alive]
             if not ids.size:
                 break
         u = rng.random(ids.size)
-        choice = np.zeros(ids.size, dtype=np.int64)
-        for column in thresholds:
-            choice += u > column.take(pos)
-        for i in range(geom.dimension):
-            live_disp[i] += axis_step[i].take(choice)
-        pos = targets.take(pos * moves + choice)
+        k = rows + (u > thresholds[0].take(rows))
+        for column in thresholds[1:]:
+            k += u > column.take(rows)
+        code += steps.take(k)
+        rows = next_rows.take(k)
+        sweeps += 1
+        if sweeps % (half - 1) == 0:
+            disp[ids] += unpack(code)
+            code.fill(zero)
     return disp, start_sites, end_sites
 
 
@@ -102,7 +133,8 @@ def msd_estimate(fld: BondField, v, t: float, walkers: int, seed: int = 0,
                  start: str = "origin") -> tuple[float, float]:
     """Estimate (v, D_N v) as mean((X_t . v)^2) / t with its standard error.
 
-    start is "origin" or "uniform", as in walk_batch.
+    start is "origin" or "uniform", as in walk_batch.  A v of any shape
+    but (d,) raises ValueError before any walker runs.
 
     The estimator carries an O(1/t) finite-horizon bias on top of the
     reported Monte Carlo error; pick t large enough that the bias is below
@@ -111,5 +143,7 @@ def msd_estimate(fld: BondField, v, t: float, walkers: int, seed: int = 0,
     if not t > 0:
         raise ValueError(f"horizon must be positive, got {t}")
     v = np.asarray(v, dtype=float)
+    if v.shape != (fld.dimension,):
+        raise ValueError(f"direction has shape {v.shape}, expected ({fld.dimension},)")
     disp, _, _ = walk_batch(fld, t, walkers, seed, start=start)
     return _mean_se((disp @ v) ** 2 / t)

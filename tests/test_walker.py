@@ -1,8 +1,10 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from homogenize import walker
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     move_table, rng_for, sample_environment)
 from homogenize.solver import SizeGuardError
@@ -169,14 +171,40 @@ def _lockstep_reference(fld, t, walkers, seed, start):
     return disp, start_sites, pos
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_batch_matches_lockstep_reference(d):
-    fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(d, 2), d)
-    for start in ("origin", "uniform"):
-        for t in (0.0, 0.3, 5.0, 40.0):
-            for walkers in (1, 7, 500):
-                seed = 100 * d + walkers
-                got = walk_batch(fld, t, walkers, seed, start=start)
-                want = _lockstep_reference(fld, t, walkers, seed, start)
-                for g, w in zip(got, want):
-                    assert g.dtype == w.dtype and np.array_equal(g, w)
+LOCKSTEP_GRID = list(itertools.product(("origin", "uniform"), (0.0, 0.3, 5.0, 40.0),
+                                       (1, 7, 500)))
+
+
+@pytest.mark.parametrize("d, half_period, cases", [
+    pytest.param(1, 2, LOCKSTEP_GRID, id="1"),
+    pytest.param(2, 2, LOCKSTEP_GRID, id="2"),
+    pytest.param(3, 2, LOCKSTEP_GRID, id="3"),
+    # 4,096 sites and 5 bits an axis: the packed displacement is unpacked
+    # every 15 sweeps
+    pytest.param(12, 1, [("uniform", 40.0, 500)], id="12"),
+])
+def test_batch_matches_lockstep_reference(d, half_period, cases):
+    geom = TorusGeometry(d, half_period)
+    fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), geom, d)
+    reach = 0
+    for start, t, walkers in cases:
+        seed = 100 * d + walkers
+        got = walk_batch(fld, t, walkers, seed, start=start)
+        want = _lockstep_reference(fld, t, walkers, seed, start)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        reach = max(reach, np.abs(got[0]).max())
+    if d == 12:
+        # a 5-bit field offset by 16 holds no |disp_i| > 16: the walk must
+        # have unpacked mid-walk
+        assert reach > 16
+
+
+def test_msd_checks_direction_before_walking(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("walk_batch ran before the direction was checked")
+
+    monkeypatch.setattr(walker, "walk_batch", refuse)
+    for v in ([1.0, 0.0], [[1.0]], 1.0):
+        with pytest.raises(ValueError, match=r"expected \(1,\)"):
+            msd_estimate(TWO_SITE, v, 1.0, 10)
