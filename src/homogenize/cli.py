@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .environment import (DisorderLaw, SizeGuardError, TorusGeometry,
-                          sample_environment)
+                          guard_sites, sample_environment)
 from .diffusivity import effective_matrix
 from .solver import DEFAULT_TOL, ConvergenceError
 from .spectral import (diffusivity_via_spectrum, semigroup_moment,
@@ -211,9 +211,19 @@ def _finite(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than Python converts
+        raise ConfigError(f"an integer of {len(text.lstrip('-'))} digits is "
+                          "too long to convert") from None
+
+
 def _json_value(text: str):
-    """json.loads that rejects NaN, +-Infinity and numbers that overflow."""
-    return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    """json.loads that rejects NaN, +-Infinity, numbers that overflow and
+    integers too long to convert."""
+    return json.loads(text, parse_float=_finite, parse_int=_integer,
+                      parse_constant=_finite)
 
 
 def _parse_override(text: str):
@@ -265,6 +275,9 @@ def _common(config: dict):
     geom = _from_config("geometry", TorusGeometry, **config["geometry"])
     law = _from_config("law", DisorderLaw.from_json, config["law"])
     tol = config.get("solver", {}).get("tol", DEFAULT_TOL)
+    # every torus a subcommand builds has this dimension and at least the
+    # unit torus's 2^d sites, so refuse it before v is built
+    guard_sites(TorusGeometry(geom.dimension, 1))
     vector = config.get("vector")
     v = np.asarray(vector, dtype=float) if vector is not None \
         else np.eye(1, geom.dimension)[0]

@@ -245,10 +245,3 @@ def _matrices(flds, w, diagnostics, iterations):
                               float(np.linalg.norm(lin - lin.T)),
                               list(diagnostics[f * d:(f + 1) * d]),
                               sum(iterations[f * d:(f + 1) * d]))
-
-
-def one_d_exact(fld: BondField) -> float:
-    """Closed form in d = 1: twice the torus harmonic mean of the rates."""
-    if fld.dimension != 1:
-        raise ValueError(f"closed form only exists in d = 1, got d = {fld.dimension}")
-    return 2.0 / float(np.mean(1.0 / fld.rates))

@@ -70,23 +70,6 @@ class TorusGeometry:
     def bond_count(self) -> int:
         return self.dimension * self.volume
 
-    def wrap(self, x) -> tuple[int, ...]:
-        return tuple(int(c) % self.side for c in x)
-
-    def site_index(self, x) -> int:
-        """Linear site index: mixed-radix (C-order) encoding of coordinates."""
-        k = 0
-        for c in x:
-            k = k * self.side + (int(c) % self.side)
-        return k
-
-    def site_coords(self, k: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.dimension):
-            out.append(k % self.side)
-            k //= self.side
-        return tuple(reversed(out))
-
 
 @dataclass(frozen=True)
 class DisorderLaw:
@@ -222,16 +205,13 @@ class BondField:
     def dimension(self) -> int:
         return self.geometry.dimension
 
-    def rate_at(self, x, direction: int) -> float:
-        return float(self.rates[(direction,) + self.geometry.wrap(x)])
-
 
 def move_table(fld: BondField) -> tuple[np.ndarray, np.ndarray]:
     """The moves of the walk out of every site: (rates, targets).
 
     Moves are numbered +e_1, -e_1, +e_2, ...; the jump x -> x + e_i has rate
     xi_i(x) and x -> x - e_i has rate xi_i(x - e_i).  Both arrays have shape
-    (volume, 2d), rows over linear site indices; targets holds linear sites.
+    (volume, 2d), rows over linear sites in C order; targets holds linear sites.
     """
     geom = fld.geometry
     xi = fld.rates
@@ -243,6 +223,16 @@ def move_table(fld: BondField) -> tuple[np.ndarray, np.ndarray]:
     return rates.reshape(geom.volume, -1), targets.reshape(geom.volume, -1)
 
 
+def guard_sites(geometry: TorusGeometry):
+    """Raise SizeGuardError above MAX_SITES sites, without building anything."""
+    # side >= 2, so a dimension above MAX_SITES.bit_length() is over the
+    # guard; the cap keeps the power small for any dimension
+    if geometry.side ** min(geometry.dimension, MAX_SITES.bit_length()) > MAX_SITES:
+        raise SizeGuardError(f"a torus of side {geometry.side} in dimension "
+                             f"{geometry.dimension} exceeds the site guard "
+                             f"{MAX_SITES}")
+
+
 def sample_environment(law: DisorderLaw, geometry: TorusGeometry, seed: int) -> BondField:
     """Draw every bond i.i.d. from the law.  Deterministic given the seed.
 
@@ -251,12 +241,7 @@ def sample_environment(law: DisorderLaw, geometry: TorusGeometry, seed: int) -> 
     environments at different N with the same seed are nested.  Raises
     SizeGuardError, before any draw, above MAX_SITES sites.
     """
-    # side >= 2, so a dimension above MAX_SITES.bit_length() is over the
-    # guard; the cap keeps the power small for any dimension
-    if geometry.side ** min(geometry.dimension, MAX_SITES.bit_length()) > MAX_SITES:
-        raise SizeGuardError(f"a torus of side {geometry.side} in dimension "
-                             f"{geometry.dimension} exceeds the site guard "
-                             f"{MAX_SITES}")
+    guard_sites(geometry)
     rng = rng_for(seed)
     flat = law.draw(rng, (geometry.volume, geometry.dimension))
     rates = np.moveaxis(flat.reshape(geometry.grid_shape + (geometry.dimension,)), -1, 0)
@@ -278,13 +263,6 @@ def periodize(fld: BondField, half_period: int) -> BondField:
     box = (slice(None),) + (slice(0, 2 * half_period),) * fld.dimension
     return BondField(TorusGeometry(fld.dimension, half_period),
                      fld.ellipticity, fld.rates[box].copy())
-
-
-def hamming_distance(f1: BondField, f2: BondField) -> int:
-    """Number of bonds at which the two environments differ exactly."""
-    if f1.geometry != f2.geometry:
-        raise GeometryMismatchError(f"{f1.geometry} vs {f2.geometry}")
-    return int(np.count_nonzero(f1.rates != f2.rates))
 
 
 def resample_bonds(fld: BondField, bonds, law: DisorderLaw, seed: int) -> BondField:

@@ -103,11 +103,13 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
     iterates are those of a solve on its own.  A member is written out (a
     view of the live iterate, no copy) when it converges and dropped from
     the live set.  lam = 0 is the singular Poisson problem, kept on the
-    mean-zero subspace.  Returns the list of solutions, the iteration
-    counts and the residual norms, one entry per member.
+    mean-zero subspace, and every right side must be orthogonal to
+    constants.  Returns one SolveReport per member.
     """
     if not tol > 0:
         raise ValueError(f"solver tolerance must be positive, got {tol}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right side must be finite")
     shape = b.shape[1:]
     if {f.geometry.grid_shape for f in fields} != {shape}:
         raise GeometryMismatchError(
@@ -122,14 +124,19 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
     def center(u):
         u -= mean_rho(u, d).reshape(col)
 
-    iterations = np.zeros(len(b), dtype=int)
-    residuals = np.zeros(len(b))
     normb = np.sqrt(dot(b, b))
+    if not lam:
+        mean = mean_rho(b, d)
+        off = np.abs(mean) > 1e-12 * np.maximum(normb, 1.0)
+        if off.any():
+            raise ValueError(
+                f"right side has nonzero mean {mean[off][0]:.3e}; the singular "
+                "problem is only solvable on the zero-mean subspace")
     # a zero right side has solution 0
-    solutions = [None if n else np.zeros(shape) for n in normb]
+    reports = [None if n else SolveReport(np.zeros(shape), 0, 0.0) for n in normb]
     live = np.flatnonzero(normb > 0)
     if not live.size:
-        return solutions, iterations, residuals
+        return reports
     members = [fields[i] for i in live]
     caps = np.array([_maxiter(f, tol) for f in members])
     xi = stack_members([f.rates for f in members], d)
@@ -168,12 +175,10 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
         done = res <= tol * normb
         if done.any():
             for j in np.flatnonzero(done):
-                solutions[live[j]] = x[j]
-            iterations[live[done]] = k
-            residuals[live[done]] = res[done]
+                reports[live[j]] = SolveReport(x[j], k, float(res[j]))
             keep = ~done
             if not keep.any():
-                return solutions, iterations, residuals
+                return reports
             live, x, r, p, rz, res, normb, caps, inv = (
                 a[keep] for a in (live, x, r, p, rz, res, normb, caps, inv))
             xi = xi[:, keep]
@@ -183,20 +188,10 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
         rz = rz_new
 
 
-def _check_mean(g: np.ndarray):
-    norm_g = np.linalg.norm(g)
-    if abs(g.sum() / g.size) > 1e-12 * max(norm_g, 1.0):
-        raise ValueError(
-            f"right side has nonzero mean {mean_rho(g):.3e}; the singular "
-            "problem is only solvable on the zero-mean subspace")
-
-
 def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL
                   ) -> SolveReport:
     """Solve -L u = g for zero-mean u; g must be orthogonal to constants."""
-    _check_mean(g)
-    u, k, res = _cg([fld], g[None], 0.0, tol)
-    return SolveReport(u[0], int(k[0]), float(res[0]))
+    return _cg([fld], g[None], 0.0, tol)[0]
 
 
 def solve_resolvent(fld: BondField, g: np.ndarray, lam: float,
@@ -204,8 +199,7 @@ def solve_resolvent(fld: BondField, g: np.ndarray, lam: float,
     """Solve (lam - L) u = g; requires lam > 0 (operator nonsingular)."""
     if lam <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
-    u, k, res = _cg([fld], g[None], lam, tol)
-    return SolveReport(u[0], int(k[0]), float(res[0]))
+    return _cg([fld], g[None], lam, tol)[0]
 
 
 def _solve_stack(stack, tol: float) -> list:
@@ -214,12 +208,8 @@ def _solve_stack(stack, tol: float) -> list:
         # of STACK_SITES sites or more stays a solve_poisson call
         fld, g = stack[0]
         return [(fld, solve_poisson(fld, g, tol))]
-    for _, g in stack:
-        _check_mean(g)
     fields = [fld for fld, _ in stack]
-    u, k, res = _cg(fields, np.stack([g for _, g in stack]), 0.0, tol)
-    return [(fld, SolveReport(u[i], int(k[i]), float(res[i])))
-            for i, fld in enumerate(fields)]
+    return list(zip(fields, _cg(fields, np.stack([g for _, g in stack]), 0.0, tol)))
 
 
 def solve_poisson_stream(members, tol: float = DEFAULT_TOL):

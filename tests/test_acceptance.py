@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from homogenize.diffusivity import (corrector, effective_matrix,
-                                    effective_quadratic, identity_residuals,
-                                    one_d_exact)
+                                    effective_quadratic, identity_residuals)
 from homogenize.environment import (DisorderLaw, TorusGeometry,
                                     sample_environment)
 from homogenize.operators import grad
@@ -25,6 +24,7 @@ from homogenize.spectral import (diffusivity_via_spectrum, semigroup_moment,
                                  semigroup_moment_mc, spectral_measure)
 from homogenize.walker import msd_estimate
 from homogenize.operators import local_drift
+from oracles import one_d_exact
 
 TWO_POINT = DisorderLaw.two_point(0.5, 2.0, 0.5)
 UNIFORM = DisorderLaw.uniform(0.5, 2.0)

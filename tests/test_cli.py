@@ -142,6 +142,19 @@ def test_invalid_json_rejected(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_over_long_integer_is_a_config_error(tmp_path, capsys):
+    # more digits than Python's int() converts by default (4,300)
+    digits = "7" * 5000
+    cfg = write_config(tmp_path, base_config())
+    in_file = tmp_path / "long.json"
+    in_file.write_text(Path(cfg).read_text().replace('"seed": 0', f'"seed": {digits}'))
+    for path, extra in ((str(in_file), ()), (cfg, ("--set", f"seed={digits}"))):
+        assert run_cli("diffusivity", path, tmp_path, *extra) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config" and "5000 digits" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_size_guard_exit_code(tmp_path):
     cfg = write_config(tmp_path, base_config(
         geometry={"dimension": 3, "half_period": 9}))
@@ -286,9 +299,11 @@ def test_program_bug_is_not_a_config_error(tmp_path, monkeypatch):
 
 def test_site_guard_refuses_every_subcommand_before_it_allocates(tmp_path, capsys):
     # 4 * 10^10 sites in d = 2; a unit torus in 2000 dimensions, whose
-    # default vector must not be cut from a 2000 x 2000 identity
+    # default vector must not be cut from a 2000 x 2000 identity, and one in
+    # 10^12 dimensions, whose default vector alone would take 8 TB
     for geometry in ({"dimension": 2, "half_period": 100_000},
-                     {"dimension": 2000, "half_period": 1}):
+                     {"dimension": 2000, "half_period": 1},
+                     {"dimension": 10 ** 12, "half_period": 1}):
         cfg = write_config(tmp_path, base_config(geometry=geometry))
         for subcommand in SUBCOMMANDS:
             tracemalloc.start()

@@ -6,10 +6,11 @@ import pytest
 
 from homogenize.diffusivity import (LP_EXPONENTS, IdentityDiagnostics, corrector,
                                     effective_matrix, effective_quadratic,
-                                    identity_residuals, one_d_exact)
+                                    identity_residuals)
 from homogenize.environment import (BondField, DisorderLaw, GeometryMismatchError,
                                     TorusGeometry, rng_for, sample_environment)
 from homogenize.operators import grad, mean_rho
+from oracles import one_d_exact
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
 UNIFORM = DisorderLaw.uniform(0.5, 2.0)

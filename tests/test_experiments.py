@@ -3,8 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homogenize.diffusivity import (IdentityDiagnostics, effective_matrix,
-                                    one_d_exact)
+from homogenize.diffusivity import IdentityDiagnostics, effective_matrix
 from homogenize import experiments
 from homogenize.environment import (BondField, DisorderLaw, SizeGuardError,
                                     TorusGeometry, periodize, sample_environment)
@@ -17,6 +16,7 @@ from homogenize.experiments import (MAX_RECORDS, CampaignConfig, TooManyBondsErr
 from homogenize.operators import local_drift
 from homogenize.solver import ConvergenceError, solve_poisson
 from homogenize.spectral import diffusivity_via_spectrum, spectral_measure
+from oracles import one_d_exact
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
 

@@ -13,6 +13,9 @@ as used when its name appears as an attribute in some caller.
 
 The third check asks the same callers to read every field of the package's
 dataclasses: a field that is only ever written is state without a reader.
+
+The fourth asks the test modules to call every public name of
+tests/oracles.py, the reference oracles that the package is checked against.
 """
 
 import ast
@@ -20,18 +23,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Public names that only tests read, kept as reference oracles.
-TEST_ORACLES = {
-    "one_d_exact",       # the 1D closed form D = 2 / mean(1/xi) of the matrix
-    "hamming_distance",  # the resample_bonds contract: at most len(bonds) edits
-    # L f of one field, shape-checked; the stacked generator kernel is checked
-    # against it, and bench/tracing.py wraps it by name
-    "apply_generator",
-    # scalar site and bond lookups that the vectorized layouts are checked against
-    "TorusGeometry.site_index",   # coordinates -> linear site (move targets)
-    "TorusGeometry.site_coords",  # linear site -> coordinates (bond ids, sites)
-    "BondField.rate_at",          # one bond's rate (generator, move rates)
-}
+# Public names that only tests read.  Reference oracles live in
+# tests/oracles.py; apply_generator stays in the package because
+# bench/tracing.py wraps it by name.
+TEST_ORACLES = {"apply_generator"}
 
 
 def _package_files() -> list[Path]:
@@ -136,6 +131,24 @@ def test_public_names_have_non_test_callers():
     # an oracle that gains a caller leaves the exemption list
     assert set(flagged) == TEST_ORACLES
 
+
+def _oracles_and_callers() -> tuple[str, list[str]]:
+    """The source of tests/oracles.py, and every test module's source."""
+    tests = ROOT / "tests"
+    return (tests / "oracles.py").read_text(), [
+        p.read_text() for p in sorted(tests.glob("test_*.py"))]
+
+
+def test_unused_oracle_is_detected():
+    source, callers = _oracles_and_callers()
+    # the name only appears in strings here, so no test module calls it
+    extended = source + "\n\ndef orphan(fld):\n    return fld\n"
+    assert unused_public_names({"oracles": extended}, callers) == ["oracles: orphan"]
+
+
+def test_oracles_have_test_callers():
+    source, callers = _oracles_and_callers()
+    assert unused_public_names({"oracles": source}, callers) == []
 
 
 def _name(node: ast.AST):

@@ -7,6 +7,7 @@ from homogenize.environment import (BondField, DisorderLaw, GeometryMismatchErro
 from homogenize.operators import (apply_generator, div_star, grad, local_drift,
                                   mean_rho, stack_members)
 from homogenize.solver import dense_operator
+from oracles import rate_at, site_coords, site_index
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
 
@@ -134,14 +135,15 @@ def test_stencil_consumers_agree(d, N):
     rates, targets = move_table(fld)
     ref = np.zeros(geom.volume)
     for k in range(geom.volume):
-        x = np.array(geom.site_coords(k))
+        x = np.array(site_coords(geom, k))
         moves = []  # (step, rate) in move order +e_1, -e_1, +e_2, ...
         for i in range(d):
-            moves += [(eye[i], fld.rate_at(x, i)), (-eye[i], fld.rate_at(x - eye[i], i))]
+            moves += [(eye[i], rate_at(fld, x, i)),
+                      (-eye[i], rate_at(fld, x - eye[i], i))]
         assert rates[k].tolist() == [rate for _, rate in moves]
-        assert targets[k].tolist() == [geom.site_index(x + s) for s, _ in moves]
+        assert targets[k].tolist() == [site_index(geom, x + s) for s, _ in moves]
         for step, rate in moves:
-            ref[k] += rate * (f.flat[geom.site_index(x + step)] - f.flat[k])
+            ref[k] += rate * (f.flat[site_index(geom, x + step)] - f.flat[k])
     atol = 1e-13 * fld.ellipticity * np.abs(f).max()
     mat = dense_operator(fld)
     assert np.allclose(apply_generator(fld, f).reshape(-1), ref, rtol=0, atol=atol)

@@ -193,25 +193,29 @@ def test_stacked_member_matches_solo_bit_for_bit(d, N, lam):
     solo = solve_poisson(fields[0], rhs[0]) if not lam \
         else solve_resolvent(fields[0], rhs[0], lam)
     for width in (1, 4, 64):
-        u, k, res = _cg(fields[:width], rhs[:width], lam, 1e-10)
-        assert np.array_equal(u[0], solo.solution)
-        assert k[0] == solo.iterations and res[0] == solo.residual_norm
+        rep = _cg(fields[:width], rhs[:width], lam, 1e-10)[0]
+        assert np.array_equal(rep.solution, solo.solution)
+        assert rep.iterations == solo.iterations
+        assert rep.residual_norm == solo.residual_norm
     # every member of the wide stack is its own solo solve
-    u, k, _ = _cg(fields, rhs, lam, 1e-10)
+    reps = _cg(fields, rhs, lam, 1e-10)
     for i in (1, 17, 63):
-        alone = _cg(fields[i:i + 1], rhs[i:i + 1], lam, 1e-10)
-        assert np.array_equal(u[i], alone[0][0]) and k[i] == alone[1][0]
+        alone = _cg(fields[i:i + 1], rhs[i:i + 1], lam, 1e-10)[0]
+        assert np.array_equal(reps[i].solution, alone.solution)
+        assert reps[i].iterations == alone.iterations
 
 
 def test_zero_member_in_stack():
     from homogenize.solver import _cg
     fields, rhs = _stack_instances(2, 2, 5, 40)
     rhs[2] = 0.0
-    u, k, res = _cg(fields, rhs, 0.0, 1e-10)
-    assert np.all(u[2] == 0.0) and k[2] == 0 and res[2] == 0.0
+    reps = _cg(fields, rhs, 0.0, 1e-10)
+    assert np.all(reps[2].solution == 0.0) and reps[2].iterations == 0
+    assert reps[2].residual_norm == 0.0
     for i in (0, 1, 3, 4):
         rep = solve_poisson(fields[i], rhs[i])
-        assert np.array_equal(u[i], rep.solution) and k[i] == rep.iterations
+        assert np.array_equal(reps[i].solution, rep.solution)
+        assert reps[i].iterations == rep.iterations
 
 
 def test_stalled_stack_reports_worst_member(monkeypatch):
@@ -259,4 +263,17 @@ def test_stream_rejects_nonzero_mean_member():
     fields, rhs = _stack_instances(2, 2, 3, 90)
     rhs[1] += 1.0
     with pytest.raises(ValueError, match="nonzero mean"):
+        list(solve_poisson_stream(zip(fields, rhs)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_right_side_is_rejected(bad):
+    from homogenize.solver import solve_poisson_stream
+    fields, rhs = _stack_instances(2, 2, 3, 70)
+    rhs[1, 0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        solve_poisson(fields[1], rhs[1])
+    with pytest.raises(ValueError, match="finite"):
+        solve_resolvent(fields[1], rhs[1], 0.5)
+    with pytest.raises(ValueError, match="finite"):
         list(solve_poisson_stream(zip(fields, rhs)))

@@ -9,6 +9,7 @@ from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     move_table, rng_for, sample_environment)
 from homogenize.solver import SizeGuardError
 from homogenize.walker import MAX_JUMPS, MAX_WALKERS, msd_estimate, walk_batch
+from oracles import rate_at, site_coords, site_index
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
 
@@ -106,7 +107,7 @@ def _reference_walk(fld, t, seed):
     jumps = 0
     while True:
         rates = np.array([rate for i in range(d)
-                          for rate in (fld.rate_at(x, i), fld.rate_at(x - eye[i], i))])
+                          for rate in (rate_at(fld, x, i), rate_at(fld, x - eye[i], i))])
         clock += rng.standard_exponential() / rates.sum()
         if clock > t:
             return x, jumps
@@ -127,10 +128,10 @@ def test_single_walker_matches_reference_loop():
 def test_walk_batch_end_sites_consistent_with_displacement():
     fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 2), 8)
     disp, start_sites, end_sites = walk_batch(fld, 10.0, 200, seed=3, start="uniform")
-    side = fld.geometry.side
+    geom = fld.geometry
     for w in range(200):
-        coords = np.array(fld.geometry.site_coords(start_sites[w]))
-        expected = fld.geometry.site_index(tuple((coords + disp[w]) % side))
+        coords = np.array(site_coords(geom, start_sites[w]))
+        expected = site_index(geom, tuple((coords + disp[w]) % geom.side))
         assert end_sites[w] == expected
 
 
