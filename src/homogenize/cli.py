@@ -8,15 +8,20 @@ overrides are applied after file parsing.  Exit codes: 0 success, 2
 config/schema violation, 3 solver non-convergence, 4 size-guard violation
 (a torus above MAX_SITES sites, a dense solve on a large torus, a walk
 with too many walkers or jumps, or a campaign or Hamming study above
-MAX_RECORDS records).
+MAX_RECORDS records).  run is the one place where results become artifact
+text.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
+import io
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,20 +29,25 @@ import numpy as np
 from . import __version__
 from .environment import (DisorderLaw, SizeGuardError, TorusGeometry,
                           guard_sites, sample_environment)
-from .diffusivity import effective_matrix
+from .diffusivity import LP_EXPONENTS, IdentityDiagnostics, effective_matrix
 from .solver import DEFAULT_TOL, ConvergenceError
 from .spectral import (diffusivity_via_spectrum, semigroup_moment,
                        semigroup_moment_mc, spectral_measure)
 from .walker import msd_estimate
 from .experiments import (DEFAULT_EPSILONS, DEFAULT_MAX_STEPS, CampaignConfig,
-                          TooManyBondsError, concentration_study, config_hash,
-                          convergence_study, hamming_sensitivity,
-                          records_to_csv, resolvent_convergence, run_campaign,
-                          summary_to_json, surface_tension)
+                          ExperimentRecord, TooManyBondsError,
+                          concentration_study, convergence_study,
+                          hamming_sensitivity, resolvent_convergence,
+                          run_campaign, surface_tension)
 
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_GUARD = 4
+
+# Largest c * max(1, |v|_1) a run accepts: results reach its fourth power
+# (the Lp norms), far inside the double range.
+MAX_SCALE = 2.0 ** 64
+MAX_NAME = 255   # bytes in an artifact file name (NAME_MAX)
 
 _NUM = {"type": "number"}
 
@@ -283,6 +293,10 @@ def _common(config: dict):
         else np.eye(1, geom.dimension)[0]
     if v.shape != (geom.dimension,):
         raise ConfigError(f"vector has length {v.size}, expected {geom.dimension}")
+    scale = law.ellipticity() * max(1.0, float(np.abs(v).sum()))
+    if scale > MAX_SCALE:
+        raise ConfigError(f"scale c * max(1, |vector|_1) = {scale:.3g} of law "
+                          "and vector exceeds 2^64")
     return geom, law, tol, v
 
 
@@ -295,21 +309,70 @@ def _campaign_config(config: dict, geom, law, tol) -> CampaignConfig:
         master_seed=config["seed"])
 
 
+def config_hash(doc: dict) -> str:
+    """Stable 8-hex digest of a JSON-serializable configuration."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:8]
+
+
+def records_to_csv(records: list[ExperimentRecord], config: CampaignConfig) -> str:
+    """One CSV row per record; '.' decimals, '\\n' endings, repr floats.
+
+    A non-finite number raises ValueError: the config guards keep every
+    number finite, so one is a program bug.
+    """
+    d = config.dimension
+    law_desc = json.dumps(config.law.to_json(), sort_keys=True,
+                          separators=(",", ":"))
+    c = config.law.ellipticity()
+    names = [f.name for f in fields(IdentityDiagnostics) if f.name != "lp_norms"]
+    header = (["seed", "d", "N", "c", "law"]
+              + [f"D_{i}{j}" for i in range(d) for j in range(d)]
+              + ["asymmetry", *names]
+              + [f"lp_{p}" for p in LP_EXPONENTS]
+              + ["iterations"])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for rec in records:
+        diag = rec.diagnostics
+        nums = [*rec.entries.reshape(-1).tolist(), rec.asymmetry,
+                *(getattr(diag, k) for k in names),
+                *(diag.lp_norms[p] for p in LP_EXPONENTS)]
+        if not np.isfinite(nums).all():
+            raise ValueError(f"non-finite number in the record of seed {rec.seed}")
+        writer.writerow([rec.seed, d, rec.N, repr(float(c)), law_desc,
+                         *(repr(float(x)) for x in nums), rec.iterations])
+    return buf.getvalue()
+
+
 def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
     """Execute one subcommand; returns the written artifact paths.
 
     Nothing is written, and outdir is not created, unless the computation
-    succeeds.
+    succeeds.  Numpy arrays and scalars in a result are written as JSON
+    lists and numbers; NaN and infinities are refused.
     """
     geom, law, tol, v = _common(config)
     seed = config["seed"]
+    digest = config_hash(config)
+    stem = f"{subcommand.replace('-', '_')}_seed{seed}_{digest}"
+    size = len(f"{stem}.json".encode())
+    if size > MAX_NAME:
+        raise ConfigError(f"seed: an artifact name of {size} bytes exceeds "
+                          f"{MAX_NAME}")
     texts = {}  # file extension -> artifact text, written in this order
     # campaigns sample their own replicas; every other subcommand one field
     if subcommand not in ("converge", "concentrate"):
         fld = sample_environment(law, geom, seed)
 
     if subcommand == "diffusivity":
-        payload = {"effective_matrix": effective_matrix(fld, tol=tol).to_json()}
+        mat = effective_matrix(fld, tol=tol)
+        payload = {"effective_matrix": {
+            "dimension": geom.dimension, "half_period": geom.half_period,
+            "entries": mat.entries, "linear_form_entries": mat.linear_form_entries,
+            "asymmetry": mat.asymmetry, "iterations": mat.iterations,
+            "diagnostics": [asdict(diag) for diag in mat.diagnostics]}}
 
     elif subcommand in ("converge", "concentrate"):
         camp_cfg = _campaign_config(config, geom, law, tol)
@@ -320,7 +383,7 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
             eps = tuple(config.get("campaign", {}).get("epsilons", DEFAULT_EPSILONS))
             study = concentration_study(camp_cfg, records, v, epsilons=eps)
         texts["csv"] = records_to_csv(records, camp_cfg)
-        payload = summary_to_json(study, camp_cfg)
+        payload = {"config": camp_cfg.to_json(), **study}
 
     elif subcommand == "hamming":
         ham = config.get("hamming", {})
@@ -343,7 +406,8 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
         spec = config.get("spectral", {})
         meas = spectral_measure(fld, v)
         payload = {
-            "spectral_measure": meas.to_json(),
+            "spectral_measure": {
+                "atoms": np.column_stack((meas.eigenvalues, meas.weights))},
             "total_mass": meas.total_mass,
             "max_eigenvalue": meas.max_eigenvalue,
             "diffusivity_via_spectrum": diffusivity_via_spectrum(meas),
@@ -371,10 +435,10 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
     else:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
 
-    payload.update(config_hash=config_hash(config), version=__version__)
-    texts["json"] = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    payload.update(config_hash=digest, version=__version__)
+    texts["json"] = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                               default=lambda o: o.tolist()) + "\n"
     outdir.mkdir(parents=True, exist_ok=True)
-    stem = f"{subcommand.replace('-', '_')}_seed{seed}_{config_hash(config)}"
     written = [outdir / f"{stem}.{ext}" for ext in texts]
     for path, text in zip(written, texts.values()):
         path.write_text(text)

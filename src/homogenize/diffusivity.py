@@ -14,7 +14,7 @@ definition).  In d = 1 the matrix is 2 / (torus mean of 1/xi) exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,10 +51,6 @@ class IdentityDiagnostics:
     lp_norms: dict
     quadratic_linear_gap: float
 
-    def to_json(self) -> dict:
-        return {**asdict(self),
-                "lp_norms": {str(p): v for p, v in self.lp_norms.items()}}
-
     @classmethod
     def worst(cls, diags) -> "IdentityDiagnostics":
         """The worst of each diagnostic over diags (a record's basis correctors).
@@ -90,17 +86,6 @@ class EffectiveMatrix:
     def quadratic_form(self, v) -> float:
         v = np.asarray(v, dtype=float)
         return float(v @ self.entries @ v)
-
-    def to_json(self) -> dict:
-        return {
-            "dimension": self.geometry.dimension,
-            "half_period": self.geometry.half_period,
-            "entries": self.entries.tolist(),
-            "linear_form_entries": self.linear_form_entries.tolist(),
-            "asymmetry": self.asymmetry,
-            "diagnostics": [d.to_json() for d in self.diagnostics],
-            "iterations": self.iterations,
-        }
 
 
 def corrector(fld: BondField, v, tol: float = DEFAULT_TOL) -> SolveReport:

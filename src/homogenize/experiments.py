@@ -11,12 +11,8 @@ so aggregation is deterministic.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import io
 import itertools
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -24,7 +20,7 @@ from .environment import (BondField, DisorderLaw, SizeGuardError,
                           TorusGeometry, periodize, resample_bonds, rng_for,
                           sample_environment)
 from .operators import grad, local_drift, div_star
-from .diffusivity import (LP_EXPONENTS, IdentityDiagnostics, _energy, corrector,
+from .diffusivity import (IdentityDiagnostics, _energy, corrector,
                           effective_matrices, effective_quadratic,
                           effective_quadratics)
 from .solver import (DEFAULT_TOL, ConvergenceError, _inverse_symbols,
@@ -276,51 +272,3 @@ def resolvent_convergence(fld: BondField, v, lam_list,
         rows.append({"lam": float(lam), "discrepancy": float(0.5 * energy)})
     return rows
 
-
-# -- artifact serialization ---------------------------------------------------
-
-def config_hash(doc: dict) -> str:
-    """Stable 8-hex digest of a JSON-serializable configuration."""
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:8]
-
-
-def records_to_csv(records: list[ExperimentRecord], config: CampaignConfig) -> str:
-    """One CSV row per record; '.' decimals, '\\n' endings, repr floats."""
-    d = config.dimension
-    law_desc = json.dumps(config.law.to_json(), sort_keys=True,
-                          separators=(",", ":"))
-    c = config.law.ellipticity()
-    names = [f.name for f in fields(IdentityDiagnostics) if f.name != "lp_norms"]
-    header = (["seed", "d", "N", "c", "law"]
-              + [f"D_{i}{j}" for i in range(d) for j in range(d)]
-              + ["asymmetry", *names]
-              + [f"lp_{p}" for p in LP_EXPONENTS]
-              + ["iterations"])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for rec in records:
-        row = [rec.seed, d, rec.N, repr(float(c)), law_desc]
-        row += [repr(float(x)) for x in rec.entries.reshape(-1)]
-        row += [repr(float(rec.asymmetry))]
-        row += [repr(float(getattr(rec.diagnostics, k))) for k in names]
-        row += [repr(float(rec.diagnostics.lp_norms[p])) for p in LP_EXPONENTS]
-        row += [rec.iterations]
-        writer.writerow(row)
-    return buf.getvalue()
-
-
-def summary_to_json(study: dict, config: CampaignConfig) -> dict:
-    """Plot-ready JSON summary of a convergence or concentration study."""
-    out = {"config": config.to_json(), "table": []}
-    for row in study["table"]:
-        item = {"N": row["N"]}
-        for key, val in row.items():
-            if key == "N":
-                continue
-            item[key] = val.tolist() if isinstance(val, np.ndarray) else val
-        out["table"].append(item)
-    if "decay_exponent" in study:
-        out["decay_exponent"] = study["decay_exponent"]
-    return out

@@ -49,10 +49,6 @@ class SpectralMeasure:
         cut = KERNEL_CUTOFF * max(self.max_eigenvalue, 1.0)
         return float(self.weights[self.eigenvalues <= cut].sum())
 
-    def to_json(self) -> dict:
-        return {"atoms": [[float(r), float(w)]
-                          for r, w in zip(self.eigenvalues, self.weights)]}
-
 
 def spectral_measure(fld: BondField, v) -> SpectralMeasure:
     """Full eigendecomposition of -L projected onto the drift.

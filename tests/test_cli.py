@@ -1,5 +1,8 @@
 import copy
+import csv
+import io
 import json
+import math
 import os
 import random
 import re
@@ -153,6 +156,65 @@ def test_over_long_integer_is_a_config_error(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["kind"] == "config" and "5000 digits" in err["message"]
     assert not (tmp_path / "out").exists()
+
+
+def assert_finite(path):
+    """Fail if a JSON artifact holds NaN or +-Infinity, or a CSV cell is not finite."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        json.loads(text, parse_constant=lambda token: pytest.fail(f"{path.name}: {token}"))
+        return
+    for row in list(csv.reader(io.StringIO(text)))[1:]:
+        del row[4]   # the law column
+        assert all(math.isfinite(float(cell)) for cell in row), path.name
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_results_beyond_the_double_range_are_config_errors(tmp_path, capsys,
+                                                           subcommand):
+    cfg = write_config(tmp_path, base_config(
+        law={"kind": "uniform", "params": [0.5, 2.0]},
+        walk={"t": 5.0, "walkers": 200}))
+    # c * max(1, |v|_1) above 2^64 is refused before any draw
+    for override in ("vector=[1e200,1e200]", "law.params=[1.0,1e200]"):
+        assert run_cli(subcommand, cfg, tmp_path, "--set", override) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["kind"] == "config" and "2^64" in err["message"], override
+    assert not (tmp_path / "out").exists()
+    # just below it every artifact is finite, or the walker's jump guard refuses
+    for name, override in (("vector", "vector=[9.2e18,0]"),
+                           ("law", "law.params=[1.0,1.8e19]")):
+        out = tmp_path / name
+        code = main([subcommand, "--config", cfg, "--set", override,
+                     "--output-dir", str(out)])
+        if code == EXIT_GUARD:
+            assert subcommand == "walk" and not out.exists(), override
+            continue
+        assert code == 0 and any(out.iterdir()), override
+        for path in out.iterdir():
+            assert_finite(path)
+
+
+def test_artifact_names_are_checked_before_any_computation(tmp_path, capsys,
+                                                           monkeypatch):
+    cfg = write_config(tmp_path, base_config())
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled an environment")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("homogenize.cli.sample_environment", unreachable)
+        patch.setattr("homogenize.cli.run_campaign", unreachable)
+        for subcommand in SUBCOMMANDS:
+            assert run_cli(subcommand, cfg, tmp_path,
+                           "--set", "seed=" + "9" * 300) == EXIT_CONFIG
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["kind"] == "config" and "exceeds 255" in err["message"]
+    assert not (tmp_path / "out").exists()
+    # the longest subcommand name with a 200-digit seed still fits
+    assert run_cli("surface-tension", cfg, tmp_path, "--set", "seed=" + "9" * 200) == 0
+    [path] = (tmp_path / "out").iterdir()
+    assert path.name.startswith("surface_tension_seed" + "9" * 200 + "_")
 
 
 def test_size_guard_exit_code(tmp_path):

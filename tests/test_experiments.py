@@ -1,18 +1,20 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from homogenize.cli import config_hash, records_to_csv, run
 from homogenize.diffusivity import IdentityDiagnostics, effective_matrix
 from homogenize import experiments
 from homogenize.environment import (BondField, DisorderLaw, SizeGuardError,
                                     TorusGeometry, periodize, sample_environment)
 from homogenize.experiments import (MAX_RECORDS, CampaignConfig, TooManyBondsError,
-                                    concentration_study, config_hash,
+                                    concentration_study,
                                     convergence_study, hamming_sensitivity,
-                                    records_to_csv, replica_seed,
+                                    replica_seed,
                                     resolvent_convergence, run_campaign,
-                                    surface_tension, summary_to_json)
+                                    surface_tension)
 from homogenize.operators import local_drift
 from homogenize.solver import ConvergenceError, solve_poisson
 from homogenize.spectral import diffusivity_via_spectrum, spectral_measure
@@ -370,11 +372,12 @@ def test_config_hash_stable_and_order_blind():
     assert h1 != config_hash({"a": 2, "b": [1, 2]})
 
 
-def test_summary_to_json_round_trips():
-    import json
+def test_summary_to_json_round_trips(tmp_path):
     cfg = CampaignConfig(DisorderLaw.constant(1.0), 1, (2,), replicas=2)
-    study = convergence_study(cfg, run_campaign(cfg))
-    doc = summary_to_json(study, cfg)
-    json.dumps(doc)
+    config = {"geometry": {"dimension": 1, "half_period": 2},
+              "law": cfg.law.to_json(), "seed": 0,
+              "campaign": {"N_list": [2], "replicas": 2}}
+    path = next(p for p in run("converge", config, tmp_path) if p.suffix == ".json")
+    doc = json.loads(path.read_text())
     assert doc["config"] == cfg.to_json()
     assert doc["table"][0]["N"] == 2

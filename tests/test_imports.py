@@ -16,6 +16,9 @@ dataclasses: a field that is only ever written is state without a reader.
 
 The fourth asks the test modules to call every public name of
 tests/oracles.py, the reference oracles that the package is checked against.
+
+The fifth keeps artifact encoding in the command line: no other package
+module imports json, csv, io or hashlib.
 """
 
 import ast
@@ -216,3 +219,42 @@ def test_unread_dataclass_field_is_detected():
 
 def test_dataclass_fields_are_read_outside_tests():
     assert unread_dataclass_fields(*_package_and_callers()) == []
+
+
+SERIALIZERS = {"json", "csv", "io", "hashlib"}
+
+
+def serializer_imports(package: dict[str, str]) -> list[str]:
+    """Imports of SERIALIZERS by package modules other than cli, as module: name."""
+    out = []
+    for module, source in package.items():
+        if module == "cli":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            out += [f"{module}: {name}" for name in names
+                    if name.split(".")[0] in SERIALIZERS]
+    return out
+
+
+def _all_package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text()
+            for p in sorted((ROOT / "src" / "homogenize").glob("*.py"))}
+
+
+def test_serializer_import_is_detected():
+    package = _all_package_sources()
+    package["planted"] = ("import os, io\nimport numpy as np\n"
+                          "from json import dumps\nfrom .cli import main\n")
+    assert serializer_imports(package) == ["planted: io", "planted: json"]
+
+
+def test_only_cli_imports_serializers():
+    package = _all_package_sources()
+    assert "cli" in package and "__init__" in package
+    assert serializer_imports(package) == []

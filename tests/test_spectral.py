@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from homogenize.cli import run
 from homogenize.diffusivity import effective_quadratic
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     sample_environment)
@@ -103,7 +106,10 @@ def test_semigroup_moment_mc_n_zero():
         semigroup_moment_mc(fld, [1.0, 0.0], 1.0, walkers=0)
 
 
-def test_measure_serialization():
-    doc = spectral_measure(TWO_SITE, [1.0]).to_json()
+def test_measure_serialization(tmp_path):
+    config = {"geometry": {"dimension": 1, "half_period": 1},
+              "law": UNIFORM.to_json(), "seed": 0}
+    [path] = run("spectral", config, tmp_path)
+    doc = json.loads(path.read_text())["spectral_measure"]
     assert len(doc["atoms"]) == 2
     assert all(len(atom) == 2 for atom in doc["atoms"])
