@@ -97,14 +97,14 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {"t": {"type": "number", "exclusiveMinimum": 0},
-                           "walkers": {"type": "integer", "minimum": 1},
+                           "walkers": {"type": "integer", "minimum": 2},
                            "start": {"enum": ["origin", "uniform"]}},
         },
         "spectral": {
             "type": "object",
             "additionalProperties": False,
             "properties": {"n": {"type": "number", "minimum": 0},
-                           "walkers": {"type": "integer", "minimum": 1}},
+                           "walkers": {"type": "integer", "minimum": 2}},
             "dependentRequired": {"walkers": ["n"]},
         },
         "hamming": {

@@ -316,6 +316,10 @@ def test_vector_length_mismatch_exits_2(tmp_path):
     ("walk", {"walk": {"t": 0}}, "walk.t"),
     ("spectral", {"spectral": {"n": -1}}, "spectral.n"),
     ("spectral", {"spectral": {"walkers": 100}}, "'n' is a dependency of 'walkers'"),
+    # one sample has no standard error; the estimators would report inf
+    ("walk", {"walk": {"walkers": 1}}, "walk.walkers: 1 is less than the minimum of 2"),
+    ("spectral", {"spectral": {"n": 1.0, "walkers": 1}},
+     "spectral.walkers: 1 is less than the minimum of 2"),
     ("hamming", {"hamming": {"perturb_counts": []}}, "hamming.perturb_counts"),
     ("hamming", {"hamming": {"perturb_counts": [1000]}}, "1000 of the 32 bonds"),
     ("hamming", {"hamming": {"perturb_counts": [4, 4], "trials": 3}},
@@ -333,7 +337,7 @@ def test_vector_length_mismatch_exits_2(tmp_path):
     ("walk", {"walk": {"t": float("nan")}}, "NaN is not a finite"),
 ], ids=["uniform_reversed", "constant_two_params", "N_list_decreasing",
         "N_list_repeated", "N_list_empty", "walk_t_zero", "spectral_n_negative",
-        "spectral_walkers_without_n",
+        "spectral_walkers_without_n", "walk_one_walker", "spectral_one_walker",
         "perturb_counts_empty", "perturb_counts_too_many",
         "perturb_counts_repeated", "uniform_with_probs", "epsilons_repeated",
         "lambdas_repeated", "tol_negative",

@@ -243,8 +243,8 @@ def serializer_imports(package: dict[str, str]) -> list[str]:
 
 
 def _all_package_sources() -> dict[str, str]:
-    return {p.stem: p.read_text()
-            for p in sorted((ROOT / "src" / "homogenize").glob("*.py"))}
+    init = ROOT / "src" / "homogenize" / "__init__.py"
+    return {p.stem: p.read_text() for p in _package_files() + [init]}
 
 
 def test_serializer_import_is_detected():
