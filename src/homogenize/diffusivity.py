@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .environment import BondField, GeometryMismatchError, TorusGeometry
-from .operators import div_star, grad, local_drift, mean_rho, stack_members
+from .operators import grad, local_drift, mean_rho, stack_members
 from .solver import (DEFAULT_TOL, SolveReport, solve_poisson,
                      solve_poisson_stream)
 
@@ -112,12 +112,18 @@ def identity_residuals(fields, v, psi: np.ndarray) -> list[IdentityDiagnostics]:
             f"expected v of shape (M, d) = {(M, d)} and psi of shape (d, M, "
             f"*grid) = {(d, M) + grid}, got {v.shape} and {psi.shape}")
     xi = stack_members([f.rates for f in fields], d)
-    flux = psi + v.T.reshape(v.T.shape + (1,) * d)   # the corrected gradient w
-    quad = _energy(xi, flux)
-    flux *= xi                           # in place: now the flux xi w
-    lin = 2.0 * sum(v[:, i] * mean_rho(flux[i], d) for i in range(d))
-    flux_div = np.abs(div_star(flux)).reshape(M, -1).max(axis=1)
-    del flux   # the rest reads psi alone: free d grids first
+    # one component of w = v + psi at a time; sums add from 0, as sum() does
+    quad = lin = 0
+    div = np.zeros((M,) + grid)   # div* of the flux xi w
+    for i in range(d):
+        w = psi[i] + v[:, i].reshape((M,) + (1,) * d)
+        quad += mean_rho(xi[i] * w ** 2, d)
+        w *= xi[i]                       # in place: now the flux xi_i w_i
+        lin += v[:, i] * mean_rho(w, d)
+        div += np.roll(w, 1, axis=i - d) - w
+    quad, lin = 2.0 * quad, 2.0 * lin
+    flux_div = np.abs(div).reshape(M, -1).max(axis=1)
+    del w, div   # the rest reads psi alone
 
     ortho = np.abs(sum(mean_rho(xi[i] * psi[i] ** 2, d) for i in range(d))
                    + sum(v[:, i] * mean_rho(xi[i] * psi[i], d) for i in range(d)))
@@ -131,7 +137,10 @@ def identity_residuals(fields, v, psi: np.ndarray) -> list[IdentityDiagnostics]:
 
     l2 = np.max([mean_rho(psi[i] ** 2, d) for i in range(d)], axis=0)
 
-    speed = np.sqrt(np.sum(psi * psi, axis=0))
+    speed = psi[0] * psi[0]   # |psi|^2, summed in place
+    for i in range(1, d):
+        speed += psi[i] * psi[i]
+    np.sqrt(speed, out=speed)
     lp = {p: mean_rho(speed ** p, d) for p in LP_EXPONENTS}
 
     return [IdentityDiagnostics(
@@ -187,42 +196,47 @@ def effective_matrices(fields, tol: float = DEFAULT_TOL):
     (solve_poisson_stream), and fields are pulled only as the stacks need
     them, so a long stream holds one stack's fields at a time.  Each stack's
     diagnostics take one call, and its complete fields are assembled at
-    once; a field split between stacks waits for its last corrector.
+    once; a field split between stacks waits for its last corrector and
+    holds only the potentials chi_j of the solved ones, one grid each.
     """
     members = ((fld, local_drift(fld, e)) for fld in fields
                for e in np.eye(fld.dimension))
-    part = []   # (field, w^j, diagnostics, iterations) of incomplete fields
+    part = []   # (field, chi_j, diagnostics, iterations) of incomplete fields
     for stack in solve_poisson_stream(members, tol=tol):
         flds = [fld for fld, _ in stack]
         iterations = [rep.iterations for _, rep in stack]
         d = flds[0].dimension
-        psi = grad(stack_members([rep.solution for _, rep in stack], d), d)
-        del stack   # each solution is dropped once its gradient is taken
+        chis = stack_members([rep.solution for _, rep in stack], d)
+        del stack   # stack_members copied a stack of several: free its solve
         e = np.eye(d)[(len(part) + np.arange(len(flds))) % d]
-        diagnostics = identity_residuals(flds, e, psi)
-        psi += e.T.reshape(e.T.shape + (1,) * d)   # in place: now e_j + grad chi_j
-        part += zip(flds, psi.swapaxes(0, 1), diagnostics, iterations)
+        diagnostics = identity_residuals(flds, e, grad(chis, d))
+        part += zip(flds, chis, diagnostics, iterations)
         whole = len(part) // d * d
         if whole:
             yield from _matrices(*zip(*part[:whole]))
             part = part[whole:]
 
 
-def _matrices(flds, w, diagnostics, iterations):
+def _matrices(flds, chis, diagnostics, iterations):
     """effective_matrix of each field from its d correctors' entries, in
-    order; w holds their corrected gradients e_j + grad chi_j."""
-    d = len(w[0])
+    order; chis holds their potentials chi_j.  The corrected gradients
+    w^j = e_j + grad chi_j are formed one component k at a time."""
+    d = flds[0].dimension
     flds = flds[::d]
-    w = [stack_members(w[j::d], d) for j in range(d)]   # w^j of every field
+    chis = [stack_members(chis[j::d], d) for j in range(d)]   # chi_j of every field
     xi = stack_members([f.rates for f in flds], d)
     quad = np.zeros((len(flds), d, d))
     linear = np.zeros((len(flds), d, d))
-    for i in range(d):
-        flux = xi * w[i]
-        for j in range(d):
-            quad[:, i, j] = 2.0 * sum(mean_rho(flux[k] * w[j][k], d)
-                                      for k in range(d))
-            linear[:, j, i] = 2.0 * mean_rho(flux[j], d)
+    for k in range(d):
+        w = [np.roll(chi, -1, axis=k - d) - chi for chi in chis]   # w^j_k
+        w[k] += 1.0
+        for i in range(d):
+            flux = xi[k] * w[i]
+            for j in range(d):
+                quad[:, i, j] += mean_rho(flux * w[j], d)
+            linear[:, k, i] = 2.0 * mean_rho(flux, d)
+        del w   # before the next component's d grids
+    quad *= 2.0
     for f, fld in enumerate(flds):
         lin = linear[f]
         yield EffectiveMatrix(fld.geometry, 0.5 * (quad[f] + quad[f].T),

@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Most sites of a sampled torus.  effective_matrix peaks about 135 bytes a
-# site above the interpreter at d = 3 (tracemalloc: 134 at N = 12, 128 at
-# N = 24, the largest bench torus, 110,592 sites), so a solve at this bound
-# needs about 0.6 GB.
+# Most sites of a sampled torus.  effective_matrix peaks about 80 bytes a
+# site above the interpreter at d = 3 (tracemalloc: 90 at N = 12, 82 at
+# N = 24, the largest bench torus, 81 at N = 32), and the rates take 24
+# more, so a solve at this bound needs about 0.45 GB (444 MB resident at
+# d = 3, N = 80, 4,096,000 sites).
 MAX_SITES = 2 ** 22
 
 
@@ -174,11 +175,11 @@ class DisorderLaw:
 class BondField:
     """One environment realization: a conductance per (site, direction).
 
-    Rates are stored direction-major as an array of shape (d, 2N, ..., 2N);
-    component i holds xi_i(x), the rate of the bond (x, x + e_i).  External
-    order (sampling order and linear bond ids) is site-major with direction
-    fastest.  Instances are immutable; move_table derives the per-site moves
-    of the walk from the rates.
+    Rates are stored direction-major and C-ordered, whatever the input's
+    order, as an array of shape (d, 2N, ..., 2N); component i holds
+    xi_i(x), the rate of the bond (x, x + e_i).  External order (sampling
+    order and linear bond ids) is site-major with direction fastest.
+    Instances are immutable; move_table derives the walk's moves from them.
     """
 
     geometry: TorusGeometry
@@ -187,7 +188,7 @@ class BondField:
 
     def __post_init__(self):
         g = self.geometry
-        r = np.array(self.rates, dtype=float)  # a private copy: frozen below
+        r = np.array(self.rates, dtype=float, order="C")  # private; frozen below
         if r.shape != (g.dimension,) + g.grid_shape:
             raise ValueError(f"rates shape {r.shape} does not match geometry {g}")
         if not np.all(np.isfinite(r)):
@@ -262,7 +263,7 @@ def periodize(fld: BondField, half_period: int) -> BondField:
         return fld
     box = (slice(None),) + (slice(0, 2 * half_period),) * fld.dimension
     return BondField(TorusGeometry(fld.dimension, half_period),
-                     fld.ellipticity, fld.rates[box].copy())
+                     fld.ellipticity, fld.rates[box])
 
 
 def resample_bonds(fld: BondField, bonds, law: DisorderLaw, seed: int) -> BondField:

@@ -63,7 +63,9 @@ def generator(xi: np.ndarray, f: np.ndarray) -> np.ndarray:
     d = xi.shape[0]
     out = np.zeros_like(f)
     for i in range(d):
-        flux = xi[i] * (np.roll(f, -1, axis=i - d) - f)
+        flux = np.roll(f, -1, axis=i - d)
+        flux -= f
+        flux *= xi[i]
         out += flux
         out -= np.roll(flux, 1, axis=i - d)
     return out

@@ -146,12 +146,13 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
     r = b[live]
     if not lam:
         center(r)
-    z = _precondition(r, inv, axes)
-    p = z.copy()
-    rz = dot(r, z)
+    p = _precondition(r, inv, axes)   # the first direction is z itself
+    rz = dot(r, p)
     res = normb   # the residual of x = 0, relative residual 1
+    # updates are in place: of the iterates only x, r and p live across the FFT
     for k in itertools.count(1):
-        ap = -generator(xi, p)
+        ap = generator(xi, p)
+        np.negative(ap, out=ap)
         if lam:
             ap += lam * p
         # a member fails at its cap, or once r.z or p.Ap underflows (far
@@ -168,6 +169,7 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
         alpha = alpha.reshape(col)
         x += alpha * p
         r -= alpha * ap
+        del ap
         if not lam:
             center(x)
             center(r)
@@ -184,7 +186,9 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
             xi = xi[:, keep]
         z = _precondition(r, inv, axes)
         rz_new = dot(r, z)
-        p = z + (rz_new / rz).reshape(col) * p
+        p *= (rz_new / rz).reshape(col)
+        p += z
+        del z
         rz = rz_new
 
 

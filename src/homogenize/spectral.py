@@ -94,8 +94,11 @@ def semigroup_moment_mc(fld: BondField, v, n: float, walkers: int,
 
     Unbiased: average of drift(x0) * drift(X_n) over uniform start sites
     and walk realizations on the torus.  At n = 0 the walkers do not move,
-    so the average is the drift's mean square over the start sites.
+    so the average is the drift's mean square over the start sites.  Fewer
+    than 2 walkers raise ValueError before any walker runs.
     """
+    if walkers < 2:
+        raise ValueError(f"need at least 2 walkers for a standard error, got {walkers}")
     phi = local_drift(fld, v).reshape(-1)
     _, start_sites, end_sites = walk_batch(fld, n, walkers, seed, start="uniform")
     return _mean_se(phi[start_sites] * phi[end_sites])

@@ -124,9 +124,8 @@ def walk_batch(fld: BondField, t: float, walkers: int, seed: int,
 
 
 def _mean_se(y: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error; the error is inf for one sample."""
-    se = float(y.std(ddof=1) / np.sqrt(y.size)) if y.size > 1 else np.inf
-    return float(y.mean()), se
+    """Sample mean and its standard error, over two samples or more."""
+    return float(y.mean()), float(y.std(ddof=1) / np.sqrt(y.size))
 
 
 def msd_estimate(fld: BondField, v, t: float, walkers: int, seed: int = 0,
@@ -134,7 +133,8 @@ def msd_estimate(fld: BondField, v, t: float, walkers: int, seed: int = 0,
     """Estimate (v, D_N v) as mean((X_t . v)^2) / t with its standard error.
 
     start is "origin" or "uniform", as in walk_batch.  A v of any shape
-    but (d,) raises ValueError before any walker runs.
+    but (d,), or fewer than 2 walkers, raises ValueError before any walker
+    runs.
 
     The estimator carries an O(1/t) finite-horizon bias on top of the
     reported Monte Carlo error; pick t large enough that the bias is below
@@ -145,5 +145,7 @@ def msd_estimate(fld: BondField, v, t: float, walkers: int, seed: int = 0,
     v = np.asarray(v, dtype=float)
     if v.shape != (fld.dimension,):
         raise ValueError(f"direction has shape {v.shape}, expected ({fld.dimension},)")
+    if walkers < 2:
+        raise ValueError(f"need at least 2 walkers for a standard error, got {walkers}")
     disp, _, _ = walk_batch(fld, t, walkers, seed, start=start)
     return _mean_se((disp @ v) ** 2 / t)

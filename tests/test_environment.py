@@ -7,6 +7,10 @@ from homogenize.environment import (MAX_SITES, BondField, DisorderLaw,
                                     GeometryMismatchError, SizeGuardError,
                                     SupportError, TorusGeometry, periodize,
                                     resample_bonds, rng_for, sample_environment)
+from homogenize.diffusivity import effective_matrix
+from homogenize.experiments import surface_tension
+from homogenize.spectral import spectral_measure
+from homogenize.walker import walk_batch
 from oracles import hamming_distance, rate_at, site_coords, site_index, wrap
 
 
@@ -62,6 +66,27 @@ def test_field_freezes_a_private_copy_of_the_rates():
         fld.rates[0, 0] = 2.0
     a[0, 0] = 2.0
     assert np.array_equal(fld.rates, np.ones((1, 2)))
+
+
+def test_results_do_not_depend_on_the_memory_order_of_the_rates():
+    # seed 7: a Fortran-ordered copy once moved D_N and sigma in the last bit
+    fld = sample_environment(DisorderLaw.uniform(0.2, 5.0), TorusGeometry(2, 4), 7)
+    rates = np.ascontiguousarray(fld.rates)
+    site_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(rates, 0, -1)), -1, 0)
+    copies = [BondField(fld.geometry, fld.ellipticity, r)
+              for r in (rates, np.asfortranarray(rates), site_major)]
+    v = [0.6, 0.8]
+
+    def results(f):
+        meas = spectral_measure(f, v)
+        return [effective_matrix(f).entries, meas.eigenvalues, meas.weights,
+                *walk_batch(f, 5.0, 100, 3), surface_tension(f, v)]
+
+    expected = results(fld)
+    for f in copies:
+        assert f.rates.flags.c_contiguous
+        for got, want in zip(results(f), expected):
+            assert np.array_equal(got, want)
 
 
 def test_law_validation():
@@ -188,6 +213,7 @@ def test_periodize_restriction():
     big = sample_environment(law, TorusGeometry(2, 4), 13)
     small = periodize(big, 2)
     assert small.geometry == TorusGeometry(2, 2)
+    assert not np.shares_memory(small.rates, big.rates)
     for x in [(0, 0), (1, 3), (3, 2)]:
         for i in range(2):
             assert rate_at(small, x, i) == rate_at(big, x, i)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -277,3 +278,15 @@ def test_non_finite_right_side_is_rejected(bad):
         solve_resolvent(fields[1], rhs[1], 0.5)
     with pytest.raises(ValueError, match="finite"):
         list(solve_poisson_stream(zip(fields, rhs)))
+
+
+def test_solve_poisson_memory_per_site():
+    # the right side counts: CG copies it, and every other update is in place
+    fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 64), 5)
+    tracemalloc.start()
+    try:
+        solve_poisson(fld, local_drift(fld, [1.0, 0.0]), tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / fld.geometry.volume < 75

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homogenize import walker
+from homogenize import spectral, walker
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     move_table, rng_for, sample_environment)
 from homogenize.solver import SizeGuardError
@@ -199,6 +199,20 @@ def test_batch_matches_lockstep_reference(d, half_period, cases):
         # a 5-bit field offset by 16 holds no |disp_i| > 16: the walk must
         # have unpacked mid-walk
         assert reach > 16
+
+
+def test_one_walker_is_refused_before_walking(monkeypatch):
+    # one walker has no standard error
+    def refuse(*args, **kwargs):
+        raise AssertionError("walk_batch ran before the walker count was checked")
+
+    monkeypatch.setattr(walker, "walk_batch", refuse)
+    monkeypatch.setattr(spectral, "walk_batch", refuse)
+    for walkers in (1, 0):
+        with pytest.raises(ValueError, match="at least 2 walkers"):
+            msd_estimate(TWO_SITE, [1.0], 1.0, walkers)
+        with pytest.raises(ValueError, match="at least 2 walkers"):
+            spectral.semigroup_moment_mc(TWO_SITE, [1.0], 1.0, walkers)
 
 
 def test_msd_checks_direction_before_walking(monkeypatch):
