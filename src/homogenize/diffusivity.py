@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .environment import BondField, GeometryMismatchError, TorusGeometry
-from .operators import grad, local_drift, mean_rho, stack_members
+from .operators import grad, local_drift, mean_rho, shift, stack_members
 from .solver import (DEFAULT_TOL, SolveReport, solve_poisson,
                      solve_poisson_stream)
 
@@ -120,7 +120,7 @@ def identity_residuals(fields, v, psi: np.ndarray) -> list[IdentityDiagnostics]:
         quad += mean_rho(xi[i] * w ** 2, d)
         w *= xi[i]                       # in place: now the flux xi_i w_i
         lin += v[:, i] * mean_rho(w, d)
-        div += np.roll(w, 1, axis=i - d) - w
+        div += shift(w, 1, i - d) - w
     quad, lin = 2.0 * quad, 2.0 * lin
     flux_div = np.abs(div).reshape(M, -1).max(axis=1)
     del w, div   # the rest reads psi alone
@@ -131,9 +131,13 @@ def identity_residuals(fields, v, psi: np.ndarray) -> list[IdentityDiagnostics]:
     curl = np.zeros(M)
     for i in range(d):
         for k in range(i + 1, d):
-            mixed = np.roll(psi[k], -1, axis=i - d) - psi[k] \
-                - (np.roll(psi[i], -1, axis=k - d) - psi[i])
-            curl = np.maximum(curl, np.abs(mixed).reshape(M, -1).max(axis=1))
+            m = shift(psi[k], -1, i - d)   # grad_i psi^k - grad_k psi^i
+            m -= psi[k]                    # in two temporaries
+            q = shift(psi[i], -1, k - d)
+            q -= psi[i]
+            m -= q
+            curl = np.maximum(curl, np.abs(m, out=m).reshape(M, -1).max(axis=1))
+            del m, q
 
     l2 = np.max([mean_rho(psi[i] ** 2, d) for i in range(d)], axis=0)
 
@@ -228,7 +232,7 @@ def _matrices(flds, chis, diagnostics, iterations):
     quad = np.zeros((len(flds), d, d))
     linear = np.zeros((len(flds), d, d))
     for k in range(d):
-        w = [np.roll(chi, -1, axis=k - d) - chi for chi in chis]   # w^j_k
+        w = [shift(chi, -1, k - d) - chi for chi in chis]   # w^j_k
         w[k] += 1.0
         for i in range(d):
             flux = xi[k] * w[i]

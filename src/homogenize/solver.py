@@ -89,9 +89,15 @@ def _inverse_symbols(fields, lam: float) -> np.ndarray:
 
 
 def _precondition(r: np.ndarray, inv: np.ndarray, axes: tuple) -> np.ndarray:
-    """Apply an rfftn symbol inv to r over the grid axes by one FFT round trip."""
-    return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inv,
-                         s=[r.shape[a] for a in axes], axes=axes)
+    """Apply an rfftn symbol inv to r over the grid axes by one FFT round trip:
+    irfftn(rfftn(r) * inv) pass by pass, bit for bit, in one complex buffer."""
+    f = np.fft.rfft(r, axis=axes[-1])
+    for a in axes[-2::-1]:
+        np.fft.fft(f, axis=a, out=f)
+    f *= inv
+    for a in axes[:-1]:
+        np.fft.ifft(f, axis=a, out=f)
+    return np.fft.irfft(f, n=r.shape[axes[-1]], axis=axes[-1])
 
 
 def _cg(fields, b: np.ndarray, lam: float, tol: float):
@@ -206,14 +212,18 @@ def solve_resolvent(fld: BondField, g: np.ndarray, lam: float,
     return _cg([fld], g[None], lam, tol)[0]
 
 
-def _solve_stack(stack, tol: float) -> list:
+def _solve_stack(stack: list, tol: float) -> list:
+    """Solve a list of (fld, g) members and empty it, so that its caller
+    holds no right side while the solved stack is in use."""
+    fields = [fld for fld, _ in stack]
     if len(stack) == 1:
         # a stack of one is solve_poisson itself, so every solve on a torus
         # of STACK_SITES sites or more stays a solve_poisson call
-        fld, g = stack[0]
-        return [(fld, solve_poisson(fld, g, tol))]
-    fields = [fld for fld, _ in stack]
-    return list(zip(fields, _cg(fields, np.stack([g for _, g in stack]), 0.0, tol)))
+        reports = [solve_poisson(*stack[0], tol)]
+    else:
+        reports = _cg(fields, np.stack([g for _, g in stack]), 0.0, tol)
+    stack.clear()
+    return list(zip(fields, reports))
 
 
 def solve_poisson_stream(members, tol: float = DEFAULT_TOL):
@@ -224,16 +234,16 @@ def solve_poisson_stream(members, tol: float = DEFAULT_TOL):
     the list of its (fld, solve_poisson(fld, g)) pairs.  Members are pulled
     one stack at a time, so memory is bounded by the cap, not by the member
     count, and each report is bit for bit the one a solve on its own gives.
+    No right side of a yielded stack is held while the consumer uses it.
     """
-    stack = []
+    stack = []   # the only holder of its members, emptied by each solve
     for member in members:
         if stack and member[1].shape != stack[0][1].shape:
             yield _solve_stack(stack, tol)
-            stack = []
         stack.append(member)
+        del member
         if len(stack) >= max(1, STACK_SITES // stack[0][1].size):
             yield _solve_stack(stack, tol)
-            stack = []
     if stack:
         yield _solve_stack(stack, tol)
 

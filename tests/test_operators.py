@@ -5,7 +5,7 @@ from homogenize.environment import (BondField, DisorderLaw, GeometryMismatchErro
                                     TorusGeometry, move_table, rng_for,
                                     sample_environment)
 from homogenize.operators import (apply_generator, div_star, grad, local_drift,
-                                  mean_rho, stack_members)
+                                  mean_rho, shift, stack_members)
 from homogenize.solver import dense_operator
 from oracles import rate_at, site_coords, site_index
 
@@ -122,6 +122,29 @@ def test_mean_rho():
         means = mean_rho(f, d)
         assert means.shape == (M,)
         assert means.tolist() == [mean_rho(f[m]) for m in range(M)]
+        # bit for bit ndarray.mean of the flattened stack, (d, M, *grid) too;
+        # side 6, so that 1 / volume is inexact
+        for stack in (rng.normal(size=(M,) + (6,) * d),
+                      rng.normal(size=(d, M) + (6,) * d)):
+            ref = stack.reshape(stack.shape[:-d] + (-1,)).mean(axis=-1)
+            got = mean_rho(stack, d)
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_shift_is_np_roll_bit_for_bit(d):
+    rng = rng_for(12, d)
+    for side in (2, 8):
+        # a field and a (d, M, *grid) stack, shifted along every axis
+        for f in (rng.normal(size=(side,) * d),
+                  rng.normal(size=(d, 3) + (side,) * d)):
+            for axis in range(-f.ndim, f.ndim):
+                for step in (1, -1):
+                    got = shift(f, step, axis)
+                    ref = np.roll(f, step, axis=axis)
+                    assert got.shape == ref.shape and got.dtype == ref.dtype
+                    assert got.tobytes() == ref.tobytes(), (side, axis, step)
 
 
 @pytest.mark.parametrize("d,N", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])

@@ -1,5 +1,7 @@
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -259,6 +261,43 @@ def test_stream_cuts_stacks_at_the_site_cap(monkeypatch):
             assert rep.residual_norm == ref.residual_norm
 
 
+def test_stream_drops_the_right_sides_it_yielded():
+    from homogenize.solver import solve_poisson_stream
+    refs = []
+
+    def member(N):
+        fld, g = random_instance(2, N, 110 + N)
+        refs.append(weakref.ref(g))
+        return fld, g
+
+    # the three stacks end three ways: the torus changes, one member of
+    # 16,384 sites reaches the site cap, the input ends
+    stream = solve_poisson_stream(member(N) for N in (2, 64, 3))
+    for k in range(3):
+        solved = next(stream)
+        assert len(solved) == 1
+        gc.collect()
+        assert refs[k]() is None, k
+        del solved
+
+
+@pytest.mark.parametrize("d,N", [(1, 1), (1, 6), (2, 1), (2, 5), (3, 1), (3, 3)])
+@pytest.mark.parametrize("M", [1, 5])
+def test_precondition_is_the_rfftn_round_trip_bit_for_bit(d, N, M):
+    from homogenize.solver import _inverse_symbols, _precondition
+    fields, rhs = _stack_instances(d, N, M, 120)
+    axes = tuple(range(-d, 0))
+    before = rhs.copy()
+    for lam in (0.0, 0.5):
+        inv = _inverse_symbols(fields, lam)
+        got = _precondition(rhs, inv, axes)
+        ref = np.fft.irfftn(np.fft.rfftn(rhs, axes=axes) * inv,
+                            s=rhs.shape[1:], axes=axes)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+        assert rhs.tobytes() == before.tobytes()
+
+
 def test_stream_rejects_nonzero_mean_member():
     from homogenize.solver import solve_poisson_stream
     fields, rhs = _stack_instances(2, 2, 3, 90)
@@ -283,10 +322,13 @@ def test_non_finite_right_side_is_rejected(bad):
 def test_solve_poisson_memory_per_site():
     # the right side counts: CG copies it, and every other update is in place
     fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 64), 5)
+    # numpy's FFT plan for this side is built here, outside the trace, so the
+    # reading does not depend on whether an earlier test built it
+    np.fft.irfftn(np.fft.rfftn(np.zeros(fld.geometry.grid_shape)))
     tracemalloc.start()
     try:
         solve_poisson(fld, local_drift(fld, [1.0, 0.0]), tol=1e-10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / fld.geometry.volume < 75
+    assert peak / fld.geometry.volume < 68
