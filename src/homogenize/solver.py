@@ -17,8 +17,8 @@ and the step sizes, stop test, cap and re-projection are per member, so a
 member's solution and iteration count do not depend on its stack-mates.
 solve_poisson and solve_resolvent are stacks of one; solve_poisson_stream
 cuts a stream of Poisson members into stacks of at most STACK_SITES sites.
-The dense oracle assembles -L explicitly and applies an
-eigendecomposition-based pseudo-inverse; it is meant for small tori only.
+The dense oracle assembles -L explicitly and inverts it off atom 0 of its
+spectrum, the constants; it is meant for small tori only.
 """
 
 from __future__ import annotations
@@ -262,14 +262,19 @@ def dense_operator(fld: BondField) -> np.ndarray:
     return mat
 
 
+def _check_resolved(w: np.ndarray):
+    """Refuse an ascending spectrum of -L whose atom 1 eigh cannot resolve."""
+    if not w[1] > np.finfo(float).eps * w[-1]:
+        raise SizeGuardError(f"eigenvalue 1 of -L ({w[1]:.3e}) is within eps * "
+                             f"lambda_max ({w[-1]:.3e}) of 0: contrast too high")
+
+
 def dense_solve(fld: BondField, g: np.ndarray) -> np.ndarray:
-    """Oracle: pseudo-inverse of -L on the zero-mean subspace."""
-    geom = fld.geometry
+    """Oracle: -L inverted on the zero-mean subspace, off atom 0 (constants)."""
     mat = dense_operator(fld)
     w, vecs = np.linalg.eigh(mat)
-    cutoff = 1e-10 * w[-1] if w[-1] > 0 else np.inf
-    keep = w > cutoff
+    _check_resolved(w)
     coeffs = vecs.T @ g.reshape(-1)
-    u = vecs[:, keep] @ (coeffs[keep] / w[keep])
+    u = vecs[:, 1:] @ (coeffs[1:] / w[1:])
     u -= u.mean()
-    return u.reshape(geom.grid_shape)
+    return u.reshape(fld.geometry.grid_shape)

@@ -17,16 +17,14 @@ import numpy as np
 
 from .environment import BondField
 from .operators import local_drift, mean_rho
-from .solver import dense_operator
+from .solver import _check_resolved, dense_operator
 from .walker import _mean_se, walk_batch
-
-KERNEL_CUTOFF = 1e-12    # relative eigenvalue below which a mode counts as kernel
-WEIGHT_CUTOFF = 1e-14    # relative weight below which an atom is dropped in 1/r sums
 
 
 @dataclass
 class SpectralMeasure:
-    """Atoms (eigenvalue, weight) of the drift's spectral measure.
+    """Atoms (eigenvalue, weight) of the drift's spectral measure, ascending;
+    every rate is positive, so atom 0, the constants, is the whole kernel.
 
     voigt is the Voigt term 2 sum_i mean(xi_i) v_i^2 of the same (fld, v),
     an upper bound of (v, D_N v).
@@ -42,12 +40,11 @@ class SpectralMeasure:
 
     @property
     def max_eigenvalue(self) -> float:
-        return float(self.eigenvalues.max()) if self.eigenvalues.size else 0.0
+        return float(self.eigenvalues[-1])
 
     @property
     def kernel_mass(self) -> float:
-        cut = KERNEL_CUTOFF * max(self.max_eigenvalue, 1.0)
-        return float(self.weights[self.eigenvalues <= cut].sum())
+        return float(self.weights[0])
 
 
 def spectral_measure(fld: BondField, v) -> SpectralMeasure:
@@ -71,20 +68,18 @@ def spectral_measure(fld: BondField, v) -> SpectralMeasure:
 def diffusivity_via_spectrum(measure: SpectralMeasure) -> float:
     """(v, D_N v) from the spectral route.
 
-    voigt  -  2 sum over nonkernel atoms of weight / r.
-    Must match the corrector route to solver accuracy.
+    voigt  -  2 sum over the nonkernel atoms 1: of weight / r, to about
+    eps * lambda_max / lambda_1 relative; SizeGuardError if it exceeds 1.
     """
-    cut = KERNEL_CUTOFF * max(measure.max_eigenvalue, 1.0)
-    keep = (measure.eigenvalues > cut) & \
-        (measure.weights > WEIGHT_CUTOFF * max(measure.total_mass, 1e-300))
-    drift_term = float((measure.weights[keep] / measure.eigenvalues[keep]).sum())
+    _check_resolved(measure.eigenvalues)
+    drift_term = float((measure.weights[1:] / measure.eigenvalues[1:]).sum())
     return measure.voigt - 2.0 * drift_term
 
 
 def semigroup_moment(measure: SpectralMeasure, n: float) -> float:
     """sum of weight * exp(-n * eigenvalue); total mass at n = 0."""
-    if n < 0:
-        raise ValueError(f"moment order must be nonnegative, got {n}")
+    if not 0 <= n < np.inf:
+        raise ValueError(f"moment order must be finite and nonnegative, got {n}")
     return float((measure.weights * np.exp(-n * measure.eigenvalues)).sum())
 
 

@@ -221,6 +221,11 @@ def test_size_guard_exit_code(tmp_path):
     cfg = write_config(tmp_path, base_config(
         geometry={"dimension": 3, "half_period": 9}))
     assert run_cli("spectral", cfg, tmp_path) == EXIT_GUARD
+    # atom 1 of -L within eps * lambda_max of 0: the spectrum is unresolved
+    cfg = write_config(tmp_path, base_config(
+        geometry={"dimension": 2, "half_period": 8},
+        law={"kind": "two_point", "params": [1e-16, 1.0, 0.5]}))
+    assert run_cli("spectral", cfg, tmp_path) == EXIT_GUARD
     cfg = write_config(tmp_path, base_config())
     for subcommand, override in (("walk", f"walk.walkers={10 ** 30}"),
                                  ("converge", f"campaign.replicas={10 ** 12}"),

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from homogenize.cli import run
-from homogenize.diffusivity import effective_quadratic
+from homogenize.diffusivity import effective_matrix, effective_quadratic
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     sample_environment)
-from homogenize.operators import local_drift, mean_rho
-from homogenize.solver import SizeGuardError
+from homogenize.operators import grad, local_drift, mean_rho
+from homogenize.solver import SizeGuardError, dense_solve
 from homogenize.spectral import (diffusivity_via_spectrum, semigroup_moment,
                                  semigroup_moment_mc, spectral_measure)
 
@@ -58,6 +58,50 @@ def test_spectral_route_matches_corrector_route():
         assert spec <= meas.voigt
 
 
+def dense_matrix(fld):
+    """D_N from correctors solved by the dense oracle dense_solve."""
+    d = fld.dimension
+    eye = np.eye(d)
+    fluxes = [eye[:, j].reshape((d,) + (1,) * d)
+              + grad(dense_solve(fld, local_drift(fld, eye[j])))
+              for j in range(d)]
+    return np.array([[2.0 * np.mean(np.sum(fld.rates * fluxes[i] * fluxes[j],
+                                           axis=0))
+                      for j in range(d)] for i in range(d)])
+
+
+@pytest.mark.parametrize("lo", [1e-2, 1e-6, 1e-9, 1e-11])
+def test_eigen_routes_match_cg_across_contrast(lo):
+    """eigh is backward stable, so each eigenvalue is off by about
+    eps * lambda_max (Weyl), and 1 / lambda_1, the largest term either
+    eigen route sums, by eps * lambda_max / lambda_1 relative; CG stops at
+    relative residual tol.  Both routes must agree with CG within the sum."""
+    tol = 1e-12
+    law = DisorderLaw.two_point(lo, 1.0, 0.5)
+    for seed in range(3):
+        fld = sample_environment(law, TorusGeometry(2, 8), seed)
+        meas = spectral_measure(fld, [1.0, 0.0])
+        lam = meas.eigenvalues
+        bound = np.finfo(float).eps * lam[-1] / lam[1] + tol
+        cg = effective_matrix(fld, tol=tol).entries
+        spec = diffusivity_via_spectrum(meas)
+        assert abs(spec - cg[0, 0]) <= bound * cg[0, 0]
+        assert np.abs(dense_matrix(fld) - cg).max() <= bound * np.abs(cg).max()
+
+
+def test_eigen_routes_refuse_an_unresolved_spectrum():
+    """At rates 1e-16 against 1 atom 1 of -L is within eps * lambda_max of
+    0: no digit of 1 / lambda_1 is certain, and both routes refuse."""
+    fld = sample_environment(DisorderLaw.two_point(1e-16, 1.0, 0.5),
+                             TorusGeometry(2, 8), 0)
+    meas = spectral_measure(fld, [1.0, 0.0])
+    assert meas.eigenvalues[1] <= np.finfo(float).eps * meas.max_eigenvalue
+    with pytest.raises(SizeGuardError, match="eps"):
+        diffusivity_via_spectrum(meas)
+    with pytest.raises(SizeGuardError, match="eps"):
+        dense_solve(fld, local_drift(fld, [1.0, 0.0]))
+
+
 def test_size_guard():
     fld = sample_environment(DisorderLaw.constant(1.0), TorusGeometry(3, 9), 0)
     with pytest.raises(SizeGuardError):
@@ -70,8 +114,9 @@ def test_semigroup_moment_values():
         mean_rho(local_drift(TWO_SITE, [1.0]) ** 2))
     assert semigroup_moment(meas, 1.0) == pytest.approx(np.exp(-6))
     assert semigroup_moment(meas, 50.0) <= 1e-100
-    with pytest.raises(ValueError):
-        semigroup_moment(meas, -1.0)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            semigroup_moment(meas, bad)
 
 
 def test_semigroup_moment_completely_monotone():
