@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .environment import BondField, GeometryMismatchError, TorusGeometry
+from .environment import BondField, GeometryMismatchError
 from .operators import grad, local_drift, mean_rho, shift, stack_members
 from .solver import (DEFAULT_TOL, SolveReport, solve_poisson,
                      solve_poisson_stream)
@@ -76,7 +76,6 @@ class EffectiveMatrix:
     asymmetry norm reported.
     """
 
-    geometry: TorusGeometry
     entries: np.ndarray
     linear_form_entries: np.ndarray
     asymmetry: float
@@ -241,9 +240,8 @@ def _matrices(flds, chis, diagnostics, iterations):
             linear[:, k, i] = 2.0 * mean_rho(flux, d)
         del w   # before the next component's d grids
     quad *= 2.0
-    for f, fld in enumerate(flds):
-        lin = linear[f]
-        yield EffectiveMatrix(fld.geometry, 0.5 * (quad[f] + quad[f].T),
+    for f, lin in enumerate(linear):
+        yield EffectiveMatrix(0.5 * (quad[f] + quad[f].T),
                               0.5 * (lin + lin.T),
                               float(np.linalg.norm(lin - lin.T)),
                               list(diagnostics[f * d:(f + 1) * d]),

@@ -164,9 +164,14 @@ def hamming_sensitivity(fld: BondField, v, perturb_counts, trials: int,
     For each count, resamples that many uniformly chosen bonds from law and
     records (hamming fraction, |delta (v, D_N v)|) pairs; a log-log fit over
     the nonzero pairs gives the reported exponent.  Only the decay to zero
-    is a contract; the true Hoelder exponent is not asserted.  Above
-    MAX_RECORDS pairs it raises SizeGuardError before any trial.
+    is a contract; the true Hoelder exponent is not asserted.  No count, or
+    fewer than one trial, raises ValueError, and above MAX_RECORDS pairs it
+    raises SizeGuardError, before any trial.
     """
+    if len(perturb_counts) < 1:
+        raise ValueError("need at least one perturb count, got none")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     nbonds = fld.geometry.bond_count
     if max(perturb_counts) > nbonds:
         raise TooManyBondsError(f"cannot perturb {max(perturb_counts)} of the "

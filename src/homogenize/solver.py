@@ -5,11 +5,12 @@ torus Laplacian: with rates in [1/c, c] and a their geometric mean, -L is
 spectrally equivalent to a (-Delta) with condition number at most c^2 on
 every torus, and -Delta is diagonal in the DFT basis, so one FFT round trip
 applies the preconditioner and the iteration count does not grow with N.
-The iteration cap follows from c and tol alone.  The singular Poisson
-problem is solved on the zero-mean subspace: the preconditioner drops the
-zero mode, and the iterate and residual are re-projected (mean subtracted)
-every iteration to cure kernel drift from rounding.  The stopping rule is
-on the unpreconditioned residual, ||r|| <= tol ||g||.
+The iteration cap follows from c and tol alone.  Both problems are solved
+on the zero-mean subspace: the preconditioner drops the zero mode, and the
+iterate and residual are re-projected (mean subtracted) every iteration to
+cure kernel drift from rounding.  A constant c on the right has the exact
+solution c / lam, and a mean within rounding of zero is dropped.  The
+stopping rule is on the unpreconditioned residual, ||r|| <= tol ||g||.
 
 There is one CG path, and it solves a stack of members, each a (field,
 right side) pair on one torus: the FFT runs over the trailing grid axes,
@@ -75,7 +76,7 @@ def _inverse_symbols(fields, lam: float) -> np.ndarray:
     """(lam + a (-Delta))^+ of each field as an rfftn symbol, shape (B, *half grid).
 
     a is the field's geometric-mean rate and -Delta the torus Laplacian, whose
-    symbol is sum_i (2 - 2 cos k_i).  At lam = 0 the zero mode maps to 0, so
+    symbol is sum_i (2 - 2 cos k_i).  At every lam the zero mode maps to 0, so
     a preconditioned field is mean-zero.
     """
     geom = fields[0].geometry
@@ -85,7 +86,7 @@ def _inverse_symbols(fields, lam: float) -> np.ndarray:
     laplacian = sum(np.ix_(*([w] * (d - 1) + [w[:side // 2 + 1]])))
     a = np.array([float(np.exp(np.log(f.rates).mean())) for f in fields])
     sigma = lam + a.reshape((-1,) + (1,) * d) * laplacian
-    return np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > 0)
+    return np.divide(1.0, sigma, out=np.zeros_like(sigma), where=laplacian > 0)
 
 
 def _precondition(r: np.ndarray, inv: np.ndarray, axes: tuple) -> np.ndarray:
@@ -108,9 +109,10 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
     re-projection; dots and means reduce each member's row alone, so its
     iterates are those of a solve on its own.  A member is written out (a
     view of the live iterate, no copy) when it converges and dropped from
-    the live set.  lam = 0 is the singular Poisson problem, kept on the
-    mean-zero subspace, and every right side must be orthogonal to
-    constants.  Returns one SolveReport per member.
+    the live set.  CG solves for each right side's mean-zero part, and a
+    mean adds mean / lam; lam = 0 is the singular Poisson problem, where
+    every right side must be orthogonal to constants.  Returns one
+    SolveReport per member.
     """
     if not tol > 0:
         raise ValueError(f"solver tolerance must be positive, got {tol}")
@@ -131,27 +133,30 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
         u -= mean_rho(u, d).reshape(col)
 
     normb = np.sqrt(dot(b, b))
-    if not lam:
-        mean = mean_rho(b, d)
-        off = np.abs(mean) > 1e-12 * np.maximum(normb, 1.0)
-        if off.any():
-            raise ValueError(
-                f"right side has nonzero mean {mean[off][0]:.3e}; the singular "
-                "problem is only solvable on the zero-mean subspace")
-    # a zero right side has solution 0
-    reports = [None if n else SolveReport(np.zeros(shape), 0, 0.0) for n in normb]
-    live = np.flatnonzero(normb > 0)
+    mean = mean_rho(b, d)
+    off = np.abs(mean) > 1e-12 * np.maximum(normb, 1.0)
+    if off.any() and not lam:
+        raise ValueError(
+            f"right side has nonzero mean {mean[off][0]:.3e}; the singular "
+            "problem is only solvable on the zero-mean subspace")
+    # (lam - L) c = lam c solves the constant part; a rounding mean is dropped
+    const = np.divide(mean, lam, out=np.zeros_like(mean), where=off)
+    r = b.copy()
+    center(r)
+    # a right side with no mean-zero part is solved by its constant; it
+    # centers to a constant, 0 or the rounding of its mean
+    solved = np.ptp(r.reshape(len(r), -1), axis=1) == 0
+    reports = [SolveReport(np.full(shape, c), 0, float(np.linalg.norm(u)))
+               if s else None for s, c, u in zip(solved, const, r)]
+    live = np.flatnonzero(~solved)
     if not live.size:
         return reports
     members = [fields[i] for i in live]
     caps = np.array([_maxiter(f, tol) for f in members])
     xi = stack_members([f.rates for f in members], d)
     inv = _inverse_symbols(members, lam)
-    normb = normb[live]
+    normb, const, r = normb[live], const[live], r[live]
     x = np.zeros((live.size,) + shape)
-    r = b[live]
-    if not lam:
-        center(r)
     p = _precondition(r, inv, axes)   # the first direction is z itself
     rz = dot(r, p)
     res = normb   # the residual of x = 0, relative residual 1
@@ -176,19 +181,19 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
         x += alpha * p
         r -= alpha * ap
         del ap
-        if not lam:
-            center(x)
-            center(r)
+        center(x)
+        center(r)
         res = np.sqrt(dot(r, r))
         done = res <= tol * normb
         if done.any():
             for j in np.flatnonzero(done):
+                x[j] += const[j]
                 reports[live[j]] = SolveReport(x[j], k, float(res[j]))
             keep = ~done
             if not keep.any():
                 return reports
-            live, x, r, p, rz, res, normb, caps, inv = (
-                a[keep] for a in (live, x, r, p, rz, res, normb, caps, inv))
+            live, x, r, p, rz, res, normb, caps, const, inv = (
+                a[keep] for a in (live, x, r, p, rz, res, normb, caps, const, inv))
             xi = xi[:, keep]
         z = _precondition(r, inv, axes)
         rz_new = dot(r, z)
@@ -206,24 +211,11 @@ def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL
 
 def solve_resolvent(fld: BondField, g: np.ndarray, lam: float,
                     tol: float = DEFAULT_TOL) -> SolveReport:
-    """Solve (lam - L) u = g; requires lam > 0 (operator nonsingular)."""
+    """Solve (lam - L) u = g; requires lam > 0 (operator nonsingular).  The
+    mean-zero part of g is solved by CG, and its mean m adds exactly m / lam."""
     if lam <= 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
     return _cg([fld], g[None], lam, tol)[0]
-
-
-def _solve_stack(stack: list, tol: float) -> list:
-    """Solve a list of (fld, g) members and empty it, so that its caller
-    holds no right side while the solved stack is in use."""
-    fields = [fld for fld, _ in stack]
-    if len(stack) == 1:
-        # a stack of one is solve_poisson itself, so every solve on a torus
-        # of STACK_SITES sites or more stays a solve_poisson call
-        reports = [solve_poisson(*stack[0], tol)]
-    else:
-        reports = _cg(fields, np.stack([g for _, g in stack]), 0.0, tol)
-    stack.clear()
-    return list(zip(fields, reports))
 
 
 def solve_poisson_stream(members, tol: float = DEFAULT_TOL):
@@ -236,16 +228,16 @@ def solve_poisson_stream(members, tol: float = DEFAULT_TOL):
     count, and each report is bit for bit the one a solve on its own gives.
     No right side of a yielded stack is held while the consumer uses it.
     """
-    stack = []   # the only holder of its members, emptied by each solve
-    for member in members:
-        if stack and member[1].shape != stack[0][1].shape:
-            yield _solve_stack(stack, tol)
-        stack.append(member)
-        del member
-        if len(stack) >= max(1, STACK_SITES // stack[0][1].size):
-            yield _solve_stack(stack, tol)
-    if stack:
-        yield _solve_stack(stack, tol)
+    for shape, group in itertools.groupby(members, lambda m: m[1].shape):
+        width = max(1, STACK_SITES // math.prod(shape))
+        while stack := list(itertools.islice(group, width)):
+            fields = [fld for fld, _ in stack]
+            # a stack of one is solve_poisson itself, so every solve on a
+            # torus of STACK_SITES sites or more stays a solve_poisson call
+            reports = ([solve_poisson(*stack[0], tol)] if len(stack) == 1 else
+                       _cg(fields, np.stack([g for _, g in stack]), 0.0, tol))
+            stack.clear()
+            yield list(zip(fields, reports))
 
 
 def dense_operator(fld: BondField) -> np.ndarray:

@@ -100,6 +100,17 @@ def test_walk_and_spectral_and_resolvent(tmp_path):
     assert len(res["table"]) == 2
 
 
+def test_resolvent_down_to_the_smallest_lambda(tmp_path):
+    cfg = write_config(tmp_path, base_config(
+        geometry={"dimension": 2, "half_period": 8},
+        law={"kind": "uniform", "params": [0.2, 5.0]}, seed=3))
+    assert run_cli("resolvent", cfg, tmp_path,
+                   "--set", "resolvent.lambdas=[1e-3,1e-30,1e-300]") == 0
+    res = json.loads(next((tmp_path / "out").glob("resolvent_*.json")).read_text())
+    discs = [row["discrepancy"] for row in res["table"]]
+    assert len(discs) == 3 and discs[0] >= discs[1] >= discs[2]
+
+
 def test_surface_tension_artifact(tmp_path):
     cfg = write_config(tmp_path, base_config())
     assert run_cli("surface-tension", cfg, tmp_path) == 0

@@ -256,6 +256,22 @@ def test_hamming_rejects_too_many_bonds():
                             law=DisorderLaw.constant(1.0))
 
 
+def test_hamming_refuses_no_trial_or_no_count_before_sampling(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampled a perturbation")
+
+    monkeypatch.setattr(experiments, "rng_for", unreachable)
+    monkeypatch.setattr(experiments, "effective_quadratics", unreachable)
+    law = DisorderLaw.uniform(0.5, 2.0)
+    fld = sample_environment(law, TorusGeometry(2, 2), 0)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match=f"need at least one trial, got {trials}"):
+            hamming_sensitivity(fld, np.eye(2)[0], (1, 2), trials=trials, law=law)
+    for counts in ((), []):
+        with pytest.raises(ValueError, match="need at least one perturb count"):
+            hamming_sensitivity(fld, np.eye(2)[0], counts, trials=2, law=law)
+
+
 def test_hamming_deltas_small_and_recorded():
     law = DisorderLaw.uniform(0.5, 2.0)
     fld = sample_environment(law, TorusGeometry(2, 4), 13)
@@ -362,6 +378,17 @@ def test_resolvent_convergence_monotone_to_zero():
     discs = [row["discrepancy"] for row in rows]
     assert all(a > b for a, b in zip(discs, discs[1:]))
     assert discs[-1] <= 1e-12
+
+
+def test_resolvent_convergence_holds_down_to_the_smallest_lambda():
+    # the drift's rounding mean would become a constant mean / lam; it is
+    # dropped, so a tiny lam neither stalls CG nor swamps the solution
+    fld = sample_environment(DisorderLaw.uniform(0.2, 5.0), TorusGeometry(2, 8), 3)
+    rows = resolvent_convergence(fld, [1.0, 0.0], [1e-3, 1e-12, 1e-30, 1e-300])
+    discs = [row["discrepancy"] for row in rows]
+    assert all(np.isfinite(discs))
+    assert all(a >= b for a, b in zip(discs, discs[1:]))
+    assert discs[1] <= 1e-20
 
 
 def test_config_hash_stable_and_order_blind():

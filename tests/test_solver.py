@@ -1,4 +1,5 @@
 import gc
+import itertools
 import tracemalloc
 import warnings
 import weakref
@@ -41,10 +42,14 @@ def test_two_site_resolvent():
 
 
 def test_resolvent_constant_rhs():
-    fld, _ = random_instance(2, 2, 0)
-    g = np.full(fld.geometry.grid_shape, 3.0)
-    rep = solve_resolvent(fld, g, 0.5)
-    assert np.allclose(rep.solution, 6.0)
+    # a constant centers to 0 or to the rounding of its mean, and either way
+    # it is solved in closed form without an iteration
+    for (d, N), c in itertools.product([(2, 2), (2, 5), (3, 3)], [3.0, 0.3, 1.7]):
+        fld, _ = random_instance(d, N, 0)
+        g = np.full(fld.geometry.grid_shape, c)
+        rep = solve_resolvent(fld, g, 0.5)
+        assert np.allclose(rep.solution, 2.0 * c, rtol=1e-14, atol=0), (d, N, c)
+        assert rep.iterations == 0
 
 
 def test_resolvent_large_lambda_neumann_bound():
@@ -83,7 +88,7 @@ def test_resolvent_matches_dense(d, N, lam):
     tol = 1e-12
     for seed in range(3):
         fld, g = random_instance(d, N, seed)
-        g += 0.5  # a constant part exercises the zero mode of the shifted symbol
+        g += 0.5  # a constant part exercises the closed-form constant mode
         u_cg = solve_resolvent(fld, g, lam, tol=tol).solution
         mat = lam * np.eye(fld.geometry.volume) + dense_operator(fld)
         u_dense = np.linalg.solve(mat, g.reshape(-1)).reshape(g.shape)
@@ -247,7 +252,8 @@ def test_stream_cuts_stacks_at_the_site_cap(monkeypatch):
     monkeypatch.setattr(solver, "_cg", lambda f, b, lam, tol: (
         stacks.append(len(f)) or real_cg(f, b, lam, tol)))
     expected = [solve_poisson(fld, g) for fld, g in members]
-    for cap, widths in [(1, [1] * 11), (64, [4, 2, 1, 4]), (2 ** 13, [6, 1, 4])]:
+    for cap, widths in [(1, [1] * 11), (32, [2, 2, 2, 1, 2, 2]), (64, [4, 2, 1, 4]),
+                        (2 ** 13, [6, 1, 4])]:
         monkeypatch.setattr(solver, "STACK_SITES", cap)
         stacks.clear()
         solved = list(solver.solve_poisson_stream(iter(members)))
