@@ -11,6 +11,7 @@ import numpy as np
 
 from homogenize import (DisorderLaw, TorusGeometry, effective_matrix,
                         sample_environment)
+from homogenize.diffusivity import LP_EXPONENTS
 
 # anchor: constant rates, no disorder, D = 2a I exactly
 constant = sample_environment(DisorderLaw.constant(1.0), TorusGeometry(2, 4), 0)
@@ -29,11 +30,11 @@ print(f"CG iterations       {mat.iterations}")
 
 diag = mat.diagnostics[0]
 print("\ndiagnostics for the e1 corrector:")
-print(f"orthogonality       {diag.orthogonality_residual:.3e}")
-print(f"curl residual       {diag.curl_residual:.3e}")
-print(f"flux divergence     {diag.flux_divergence_residual:.3e}")
-print(f"L2 bound margin     {diag.l2_bound_margin:.3e}  (must be >= 0)")
-for p, norm in diag.lp_norms.items():
+print(f"orthogonality       {diag['orthogonality_residual']:.3e}")
+print(f"curl residual       {diag['curl_residual']:.3e}")
+print(f"flux divergence     {diag['flux_divergence_residual']:.3e}")
+print(f"L2 bound margin     {diag['l2_bound_margin']:.3e}  (must be >= 0)")
+for p, norm in zip(LP_EXPONENTS, diag["lp_norms"]):
     print(f"gradient L{p} norm   {norm:.4f}")
 
 eigs = np.linalg.eigvalsh(mat.entries)

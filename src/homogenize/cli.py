@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +28,13 @@ import numpy as np
 from . import __version__
 from .environment import (DisorderLaw, SizeGuardError, TorusGeometry,
                           guard_sites, sample_environment)
-from .diffusivity import LP_EXPONENTS, IdentityDiagnostics, effective_matrix
+from .diffusivity import DIAGNOSTICS, LP_EXPONENTS, effective_matrix
 from .solver import DEFAULT_TOL, ConvergenceError
 from .spectral import (diffusivity_via_spectrum, semigroup_moment,
                        semigroup_moment_mc, spectral_measure)
 from .walker import msd_estimate
 from .experiments import (DEFAULT_EPSILONS, DEFAULT_MAX_STEPS, CampaignConfig,
-                          ExperimentRecord, TooManyBondsError,
+                          TooManyBondsError,
                           concentration_study, convergence_study,
                           hamming_sensitivity, resolvent_convergence,
                           run_campaign, surface_tension)
@@ -315,8 +314,9 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:8]
 
 
-def records_to_csv(records: list[ExperimentRecord], config: CampaignConfig) -> str:
-    """One CSV row per record; '.' decimals, '\\n' endings, repr floats.
+def records_to_csv(records: np.recarray, config: CampaignConfig) -> str:
+    """One CSV row per record of run_campaign; '.' decimals, '\\n' endings,
+    repr floats.
 
     A non-finite number raises ValueError: the config guards keep every
     number finite, so one is a program bug.
@@ -324,25 +324,26 @@ def records_to_csv(records: list[ExperimentRecord], config: CampaignConfig) -> s
     d = config.dimension
     law_desc = json.dumps(config.law.to_json(), sort_keys=True,
                           separators=(",", ":"))
-    c = config.law.ellipticity()
-    names = [f.name for f in fields(IdentityDiagnostics) if f.name != "lp_norms"]
+    c = repr(float(config.law.ellipticity()))
+    names = DIAGNOSTICS.names[:-1]   # the scalar diagnostics; lp_norms is last
     header = (["seed", "d", "N", "c", "law"]
               + [f"D_{i}{j}" for i in range(d) for j in range(d)]
               + ["asymmetry", *names]
               + [f"lp_{p}" for p in LP_EXPONENTS]
               + ["iterations"])
+    diag = records.diagnostics
+    nums = np.column_stack([records.entries.reshape(len(records), -1),
+                            records.asymmetry, *(diag[k] for k in names),
+                            diag["lp_norms"]])
+    if not np.isfinite(nums).all():
+        raise ValueError("non-finite number in the campaign records")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for rec in records:
-        diag = rec.diagnostics
-        nums = [*rec.entries.reshape(-1).tolist(), rec.asymmetry,
-                *(getattr(diag, k) for k in names),
-                *(diag.lp_norms[p] for p in LP_EXPONENTS)]
-        if not np.isfinite(nums).all():
-            raise ValueError(f"non-finite number in the record of seed {rec.seed}")
-        writer.writerow([rec.seed, d, rec.N, repr(float(c)), law_desc,
-                         *(repr(float(x)) for x in nums), rec.iterations])
+    for seed, n, row, iterations in zip(records.seed.tolist(), records.N.tolist(),
+                                        nums, records.iterations.tolist()):
+        writer.writerow([seed, d, n, c, law_desc,
+                         *map(repr, row.tolist()), iterations])
     return buf.getvalue()
 
 
@@ -372,7 +373,11 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
             "dimension": geom.dimension, "half_period": geom.half_period,
             "entries": mat.entries, "linear_form_entries": mat.linear_form_entries,
             "asymmetry": mat.asymmetry, "iterations": mat.iterations,
-            "diagnostics": [asdict(diag) for diag in mat.diagnostics]}}
+            "diagnostics": [
+                {**{name: diag[name].tolist() for name in DIAGNOSTICS.names},
+                 "lp_norms": dict(zip(map(str, LP_EXPONENTS),
+                                      diag["lp_norms"].tolist()))}
+                for diag in mat.diagnostics]}}
 
     elif subcommand in ("converge", "concentrate"):
         camp_cfg = _campaign_config(config, geom, law, tol)

@@ -2,7 +2,8 @@
 
 (v, D_N v) is the energy 2 sum_i mean(xi_i w_i^2) of the corrected gradient
 w = v + grad chi, chi the corrector (effective_quadratic); identity_residuals
-checks the finite-volume identities on psi = grad chi of solved correctors.
+checks the finite-volume identities on psi = grad chi of solved correctors,
+one row of the structured dtype DIAGNOSTICS per corrector.
 Energies, diagnostics and the D_N assembly run once per solved stack of
 correctors, in the layout of operators; each sum adds in a lone field's
 order, so every number is bit for bit that of the field solved alone.
@@ -14,7 +15,7 @@ definition).  In d = 1 the matrix is 2 / (torus mean of 1/xi) exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,44 +27,27 @@ from .solver import (DEFAULT_TOL, SolveReport, solve_poisson,
 LP_EXPONENTS = (2.0, 2.5, 3.0, 4.0)
 
 
-@dataclass
-class IdentityDiagnostics:
-    """Residuals of the finite-volume identities for one (environment, v).
+# The identity diagnostics of one corrector, in the campaign CSV's column order:
+# the gap in sum_i mean(xi_i (psi^i)^2) = -sum_i v_i mean(xi_i psi^i); max
+# |grad_i psi^k - grad_k psi^i| over mixed pairs; max |div*(xi (v + psi))|;
+# c^2 |v|^2 - max_i mean((psi^i)^2), nonnegative in exact arithmetic; the gap
+# between the quadratic and linear forms of (v, D_N v); and the normalized
+# gradient norms (mean |grad chi|^p)^(1/p), one slot per p in LP_EXPONENTS.
+DIAGNOSTICS = np.dtype([
+    ("orthogonality_residual", float), ("curl_residual", float),
+    ("flux_divergence_residual", float), ("l2_bound_margin", float),
+    ("quadratic_linear_gap", float), ("lp_norms", float, len(LP_EXPONENTS))])
 
-    orthogonality_residual: gap in the weighted-gradient orthogonality
-        relation sum_i mean(xi_i (psi^i)^2) = -sum_i v_i mean(xi_i psi^i).
-    curl_residual: max |grad_i psi^k - grad_k psi^i| over mixed pairs.
-    flux_divergence_residual: max over sites of |div*(xi (v + psi))|.
-    l2_bound_margin: c^2 |v|^2 - max_i mean((psi^i)^2), nonnegative in
-        exact arithmetic.
-    lp_norms: normalized corrector-gradient norms
-        (mean |grad chi|^p)^(1/p) for p in LP_EXPONENTS.
-    quadratic_linear_gap: |quadratic form - linear form| of the two
-        effective-quadratic identities.
 
-    The field order is the column order of the campaign CSV.
-    """
-
-    orthogonality_residual: float
-    curl_residual: float
-    flux_divergence_residual: float
-    l2_bound_margin: float
-    lp_norms: dict
-    quadratic_linear_gap: float
-
-    @classmethod
-    def worst(cls, diags) -> "IdentityDiagnostics":
-        """The worst of each diagnostic over diags (a record's basis correctors).
-
-        The least l2_bound_margin, the largest of every other residual, and
-        the largest of each Lp norm, exponent by exponent.
-        """
-        worst = {f.name: max(getattr(d, f.name) for d in diags)
-                 for f in fields(cls) if f.name != "lp_norms"}
-        worst["l2_bound_margin"] = min(d.l2_bound_margin for d in diags)
-        worst["lp_norms"] = {p: max(d.lp_norms[p] for d in diags)
-                             for p in LP_EXPONENTS}
-        return cls(**worst)
+def worst(diags: np.ndarray) -> np.ndarray:
+    """The worst of each diagnostic over the last axis of a (..., d) array of
+    DIAGNOSTICS (a record's basis correctors): the least l2_bound_margin,
+    and the largest of every other residual and of each Lp norm."""
+    out = np.empty(diags.shape[:-1], DIAGNOSTICS)
+    for name in DIAGNOSTICS.names:
+        reduce = np.min if name == "l2_bound_margin" else np.max
+        out[name] = reduce(diags[name], axis=diags.ndim - 1)
+    return out
 
 
 @dataclass
@@ -73,13 +57,14 @@ class EffectiveMatrix:
     entries comes from the Gram (quadratic) form over the basis correctors
     and is symmetric by construction; linear_form_entries is the
     cross-check via the linear identity, symmetrized, with the raw
-    asymmetry norm reported.
+    asymmetry norm reported; diagnostics holds the d basis correctors'
+    DIAGNOSTICS.
     """
 
     entries: np.ndarray
     linear_form_entries: np.ndarray
     asymmetry: float
-    diagnostics: list[IdentityDiagnostics]
+    diagnostics: np.ndarray
     iterations: int
 
     def quadratic_form(self, v) -> float:
@@ -99,8 +84,8 @@ def _energy(xi: np.ndarray, w: np.ndarray):
     return 2.0 * sum(mean_rho(xi[i] * w[i] ** 2, d) for i in range(d))
 
 
-def identity_residuals(fields, v, psi: np.ndarray) -> list[IdentityDiagnostics]:
-    """One IdentityDiagnostics per solved corrector of a stack, member m in
+def identity_residuals(fields, v, psi: np.ndarray) -> np.ndarray:
+    """The DIAGNOSTICS of each solved corrector of a stack, member m in
     direction v[m] on fields[m]: v of shape (M, d), psi of shape (d, M, *grid)
     with psi[:, m] = grad chi_m.  A member's numbers do not depend on its mates."""
     v = np.asarray(v, dtype=float)
@@ -146,15 +131,17 @@ def identity_residuals(fields, v, psi: np.ndarray) -> list[IdentityDiagnostics]:
     np.sqrt(speed, out=speed)
     lp = {p: mean_rho(speed ** p, d) for p in LP_EXPONENTS}
 
-    return [IdentityDiagnostics(
-        orthogonality_residual=float(ortho[m]),
-        curl_residual=float(curl[m]),
-        flux_divergence_residual=float(flux_div[m]),
-        l2_bound_margin=fld.ellipticity ** 2 * float(v[m] @ v[m]) - float(l2[m]),
-        # a scalar power: ** (1 / p) on the array moves the last digit
-        lp_norms={p: float(lp[p][m] ** (1.0 / p)) for p in LP_EXPONENTS},
-        quadratic_linear_gap=float(abs(quad[m] - lin[m])),
-    ) for m, fld in enumerate(fields)]
+    diags = np.empty(M, DIAGNOSTICS)
+    diags["orthogonality_residual"] = ortho
+    diags["curl_residual"] = curl
+    diags["flux_divergence_residual"] = flux_div
+    diags["l2_bound_margin"] = np.array([fld.ellipticity ** 2 * float(vm @ vm)
+                                         for fld, vm in zip(fields, v)]) - l2
+    diags["quadratic_linear_gap"] = np.abs(quad - lin)
+    # a scalar power: ** (1 / p) on the array moves the last digit
+    diags["lp_norms"] = [[lp[p][m] ** (1.0 / p) for p in LP_EXPONENTS]
+                         for m in range(M)]
+    return diags
 
 
 def effective_quadratic(fld: BondField, v, tol: float = DEFAULT_TOL) -> float:
@@ -189,40 +176,47 @@ def effective_matrix(fld: BondField, tol: float = DEFAULT_TOL) -> EffectiveMatri
     symmetric); the linear identity gives the cross-check matrix
     2 mean((xi w^j)_i), symmetrized.
     """
-    return next(effective_matrices([fld], tol=tol))
+    columns = next(effective_matrices([fld], tol=tol))
+    return EffectiveMatrix(**{name: col[0] for name, col in columns.items()})
 
 
 def effective_matrices(fields, tol: float = DEFAULT_TOL):
-    """effective_matrix of each field of an iterable, in order.
+    """effective_matrix of each field of an iterable, in order, as columns:
+    per solved stack, a dict of entries and linear_form_entries (F, d, d),
+    asymmetry (F,), diagnostics (F, d) and iterations (F,) of its F complete
+    fields.
 
     The basis correctors of consecutive fields are solved together in stacks
     (solve_poisson_stream), and fields are pulled only as the stacks need
-    them, so a long stream holds one stack's fields at a time.  Each stack's
-    diagnostics take one call, and its complete fields are assembled at
-    once; a field split between stacks waits for its last corrector and
-    holds only the potentials chi_j of the solved ones, one grid each.
+    them, so a long stream holds one stack's fields at a time.  A field split
+    between stacks waits for its last corrector and holds only the
+    potentials chi_j of the solved ones, one grid each.
     """
     members = ((fld, local_drift(fld, e)) for fld in fields
                for e in np.eye(fld.dimension))
-    part = []   # (field, chi_j, diagnostics, iterations) of incomplete fields
+    part = []   # (field, chi_j) of incomplete fields
+    diags, iterations = np.empty(0, DIAGNOSTICS), np.empty(0, int)
     for stack in solve_poisson_stream(members, tol=tol):
         flds = [fld for fld, _ in stack]
-        iterations = [rep.iterations for _, rep in stack]
+        iterations = np.append(iterations, [rep.iterations for _, rep in stack])
         d = flds[0].dimension
         chis = stack_members([rep.solution for _, rep in stack], d)
         del stack   # stack_members copied a stack of several: free its solve
         e = np.eye(d)[(len(part) + np.arange(len(flds))) % d]
-        diagnostics = identity_residuals(flds, e, grad(chis, d))
-        part += zip(flds, chis, diagnostics, iterations)
+        diags = np.append(diags, identity_residuals(flds, e, grad(chis, d)))
+        part += zip(flds, chis)
         whole = len(part) // d * d
         if whole:
-            yield from _matrices(*zip(*part[:whole]))
-            part = part[whole:]
+            yield {**_matrices(*zip(*part[:whole])),
+                   "diagnostics": diags[:whole].reshape(-1, d),
+                   "iterations": iterations[:whole].reshape(-1, d).sum(axis=1)}
+            part, diags, iterations = (
+                part[whole:], diags[whole:], iterations[whole:])
 
 
-def _matrices(flds, chis, diagnostics, iterations):
-    """effective_matrix of each field from its d correctors' entries, in
-    order; chis holds their potentials chi_j.  The corrected gradients
+def _matrices(flds, chis) -> dict:
+    """entries, linear_form_entries and asymmetry of the fields flds[::d] from
+    their correctors' potentials chi_j; the corrected gradients
     w^j = e_j + grad chi_j are formed one component k at a time."""
     d = flds[0].dimension
     flds = flds[::d]
@@ -240,9 +234,6 @@ def _matrices(flds, chis, diagnostics, iterations):
             linear[:, k, i] = 2.0 * mean_rho(flux, d)
         del w   # before the next component's d grids
     quad *= 2.0
-    for f, lin in enumerate(linear):
-        yield EffectiveMatrix(0.5 * (quad[f] + quad[f].T),
-                              0.5 * (lin + lin.T),
-                              float(np.linalg.norm(lin - lin.T)),
-                              list(diagnostics[f * d:(f + 1) * d]),
-                              sum(iterations[f * d:(f + 1) * d]))
+    return {"entries": 0.5 * (quad + quad.swapaxes(1, 2)),
+            "linear_form_entries": 0.5 * (linear + linear.swapaxes(1, 2)),
+            "asymmetry": np.array([np.linalg.norm(lin - lin.T) for lin in linear])}

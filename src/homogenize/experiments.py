@@ -3,10 +3,11 @@
 A campaign draws independent environments (one deterministic seed per
 replica, split off the master seed; each replica's environment is sampled
 on the largest torus and periodized to every torus size, so successive
-sizes are positively coupled), computes the effective matrix for each, and
-aggregates.  A record depends only on its (N, replica) pair, not on the
-replicas solved in the same stack, and records come in (N, replica) order,
-so aggregation is deterministic.
+sizes are positively coupled), computes the effective matrix for each into
+one record array (a row per record, no Python object per record), and
+aggregates its columns.  A record depends only on its (N, replica) pair,
+not on the replicas solved in the same stack, and records come in
+(N, replica) order, so aggregation is deterministic.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from .environment import (BondField, DisorderLaw, SizeGuardError,
                           TorusGeometry, periodize, resample_bonds, rng_for,
                           sample_environment)
 from .operators import grad, local_drift, div_star
-from .diffusivity import (IdentityDiagnostics, _energy, corrector,
-                          effective_matrices, effective_quadratic,
-                          effective_quadratics)
+from .diffusivity import (DIAGNOSTICS, _energy, corrector, effective_matrices,
+                          effective_quadratic, effective_quadratics, worst)
 from .solver import (DEFAULT_TOL, ConvergenceError, _inverse_symbols,
                      _precondition, solve_resolvent)
 
@@ -51,22 +51,10 @@ class CampaignConfig:
                 "N_list": list(self.N_list)}
 
 
-@dataclass
-class ExperimentRecord:
-    """One (N, replica) matrix of a campaign, with its worst diagnostics."""
-
-    N: int
-    seed: int
-    entries: np.ndarray
-    asymmetry: float
-    diagnostics: IdentityDiagnostics
-    iterations: int
-
-
 # Most records of one campaign (replicas x torus sizes) or one Hamming study
-# (perturb counts x trials).  A campaign peaks about 2 KB a record above the
-# interpreter, CSV text included (tracemalloc, d = 1 to 3), and a Hamming pair
-# under 1 KB, so a run at this bound holds about 1 GB.
+# (perturb counts x trials).  A campaign peaks at 0.8, 1.0 and 1.5 KB a record
+# above the interpreter at d = 1, 2 and 3, CSV text included (tracemalloc),
+# and a Hamming pair at about 0.4 KB, so a run at this bound holds under 1 GB.
 MAX_RECORDS = 2 ** 19
 
 # Defaults of concentration_study and surface_tension, which the CLI shares.
@@ -86,8 +74,10 @@ def replica_seed(master_seed: int, replica: int) -> int:
     return int(rng_for(master_seed, replica).integers(2 ** 63))
 
 
-def run_campaign(config: CampaignConfig) -> list[ExperimentRecord]:
-    """Effective matrices for every (N, replica) pair, in (N, replica) order.
+def run_campaign(config: CampaignConfig) -> np.recarray:
+    """One record per (N, replica) pair, in (N, replica) order: the columns
+    N, seed, entries (d, d), asymmetry, diagnostics (the worst over the
+    record's basis correctors) and iterations.
 
     Each replica samples one environment on the largest torus and restricts
     it to the smaller sizes, so the per-replica family D_N is the periodized
@@ -98,20 +88,27 @@ def run_campaign(config: CampaignConfig) -> list[ExperimentRecord]:
     Above MAX_RECORDS records it raises SizeGuardError before any seed.
     """
     _guard_records("campaign", config.replicas * len(config.N_list))
-    geom = TorusGeometry(config.dimension, max(config.N_list))
+    d = config.dimension
+    geom = TorusGeometry(d, max(config.N_list))
     seeds = [replica_seed(config.master_seed, r) for r in range(config.replicas)]
-    pairs = list(itertools.product(config.N_list, seeds))
+    records = np.recarray(len(config.N_list) * len(seeds), [
+        ("N", int), ("seed", int), ("entries", float, (d, d)),
+        ("asymmetry", float), ("diagnostics", DIAGNOSTICS), ("iterations", int)])
+    records.N = np.repeat(config.N_list, len(seeds))
+    records.seed = np.tile(seeds, len(config.N_list))
     envs = (periodize(sample_environment(config.law, geom, seed), n)
-            for n, seed in pairs)
-    return [ExperimentRecord(N=n, seed=seed, entries=mat.entries,
-                             asymmetry=mat.asymmetry,
-                             diagnostics=IdentityDiagnostics.worst(mat.diagnostics),
-                             iterations=mat.iterations)
-            for (n, seed), mat in zip(pairs, effective_matrices(envs, tol=config.tol))]
+            for n, seed in itertools.product(config.N_list, seeds))
+    start = 0
+    for columns in effective_matrices(envs, tol=config.tol):
+        columns["diagnostics"] = worst(columns["diagnostics"])
+        rows = records[start:start + len(columns["iterations"])]
+        start += len(rows)
+        for name in records.dtype.names[2:]:
+            rows[name] = columns[name]
+    return records
 
 
-def convergence_study(config: CampaignConfig,
-                      records: list[ExperimentRecord]) -> dict:
+def convergence_study(config: CampaignConfig, records: np.recarray) -> dict:
     """Monte Carlo means of D_N per torus size over run_campaign's records.
 
     The successive-difference column |mean_N - mean_2N| (max over entries)
@@ -119,7 +116,7 @@ def convergence_study(config: CampaignConfig,
     """
     table = []
     for n in config.N_list:
-        block = np.stack([rec.entries for rec in records if rec.N == n])
+        block = records.entries[records.N == n]
         mean = block.mean(axis=0)
         sem = block.std(axis=0, ddof=1) / np.sqrt(block.shape[0])
         table.append({"N": n, "mean": mean, "ci_halfwidth": 1.96 * sem})
@@ -128,8 +125,7 @@ def convergence_study(config: CampaignConfig,
     return {"table": table}
 
 
-def concentration_study(config: CampaignConfig,
-                        records: list[ExperimentRecord], v,
+def concentration_study(config: CampaignConfig, records: np.recarray, v,
                         epsilons=DEFAULT_EPSILONS) -> dict:
     """Spread of (v, D_N v) across run_campaign's replicas per torus size.
 
@@ -139,7 +135,7 @@ def concentration_study(config: CampaignConfig,
     v = np.asarray(v, dtype=float)
     table = []
     for n in config.N_list:
-        vals = np.array([v @ rec.entries @ v for rec in records if rec.N == n])
+        vals = np.array([v @ e @ v for e in records.entries[records.N == n]])
         centered = np.abs(vals - vals.mean())
         table.append({
             "N": n,

@@ -132,15 +132,18 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
     def center(u):
         u -= mean_rho(u, d).reshape(col)
 
-    normb = np.sqrt(dot(b, b))
-    mean = mean_rho(b, d)
-    off = np.abs(mean) > 1e-12 * np.maximum(normb, 1.0)
-    if off.any() and not lam:
-        raise ValueError(
-            f"right side has nonzero mean {mean[off][0]:.3e}; the singular "
-            "problem is only solvable on the zero-mean subspace")
-    # (lam - L) c = lam c solves the constant part; a rounding mean is dropped
-    const = np.divide(mean, lam, out=np.zeros_like(mean), where=off)
+    with np.errstate(over="ignore"):   # an overflow is refused below
+        normb = np.sqrt(dot(b, b))
+        mean = mean_rho(b, d)
+        off = np.abs(mean) > 1e-12 * np.maximum(normb, 1.0)
+        if off.any() and not lam:
+            raise ValueError(
+                f"right side has nonzero mean {mean[off][0]:.3e}; the singular "
+                "problem is only solvable on the zero-mean subspace")
+        # (lam - L) c = lam c solves the constant part; a rounding mean is dropped
+        const = np.divide(mean, lam, out=np.zeros_like(mean), where=off)
+    if not (np.isfinite(normb).all() and np.isfinite(const).all()):
+        raise ValueError("right side too large: norm or mean / lam not finite")
     r = b.copy()
     center(r)
     # a right side with no mean-zero part is solved by its constant; it

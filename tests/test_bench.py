@@ -31,11 +31,17 @@ def test_traced_campaign_times_the_stacked_diagnostics(tmp_path, monkeypatch):
                                  tmp_path / "work")
     assert result["correct"], result["problems"]
     assert result["per_layer"]["diffusivity.diagnostics_s"] > 0
+    assert result["per_layer"]["experiments.records_per_s"] > 0
     header, *spans = (tmp_path / result["trace_file"]).read_text().splitlines()
     fields = json.loads(header)["fields"]
-    name, at = fields.index("name"), fields.index("pass")
-    passes = [span[at] for span in map(json.loads, spans)
-              if span[name] == "identity_residuals"]
+    name, at, info = fields.index("name"), fields.index("pass"), fields.index("info")
+    spans = [json.loads(span) for span in spans]
+    passes = [span[at] for span in spans if span[name] == "identity_residuals"]
     # one call per solved stack: the toy converge solves each of its two
     # torus sizes as one stack, in each of the two traced passes
     assert sorted(passes) == [2, 2, 3, 3]
+    # the tracer counts a campaign's records as len(run_campaign(...)): the
+    # toy converge has N_list [2, 4] x 4 replicas, 8 records in each pass
+    campaigns = [(span[at], span[info]) for span in spans
+                 if span[name] == "run_campaign"]
+    assert sorted(campaigns) == [(2, 8), (3, 8)]

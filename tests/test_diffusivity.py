@@ -1,14 +1,13 @@
 import json
 import tracemalloc
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from homogenize.cli import run
-from homogenize.diffusivity import (LP_EXPONENTS, IdentityDiagnostics, corrector,
-                                    effective_matrix, effective_quadratic,
-                                    identity_residuals)
+from homogenize.diffusivity import (DIAGNOSTICS, corrector, effective_matrix,
+                                    effective_quadratic, identity_residuals,
+                                    worst)
 from homogenize.environment import (BondField, DisorderLaw, GeometryMismatchError,
                                     TorusGeometry, rng_for, sample_environment)
 from homogenize.operators import grad, mean_rho
@@ -166,10 +165,10 @@ def test_identity_residuals_constant_environment():
     fld = sample_environment(DisorderLaw.constant(1.0), TorusGeometry(2, 2), 0)
     psi = grad(corrector(fld, [1.0, 0.0]).solution)
     diag, = identity_residuals([fld], [[1.0, 0.0]], psi[:, None])
-    assert diag.orthogonality_residual <= 1e-12
-    assert diag.curl_residual <= 1e-12
-    assert diag.flux_divergence_residual <= 1e-12
-    assert all(v <= 1e-12 for v in diag.lp_norms.values())
+    assert diag["orthogonality_residual"] <= 1e-12
+    assert diag["curl_residual"] <= 1e-12
+    assert diag["flux_divergence_residual"] <= 1e-12
+    assert np.all(diag["lp_norms"] <= 1e-12)
 
 
 def test_identity_residuals_two_site_constant_flux():
@@ -178,9 +177,9 @@ def test_identity_residuals_two_site_constant_flux():
     flux = TWO_SITE.rates[0] * (1.0 + psi[0])
     assert np.allclose(flux, 4 / 3)
     diag, = identity_residuals([TWO_SITE], [[1.0]], psi[:, None])
-    assert diag.flux_divergence_residual <= 1e-12
-    assert diag.quadratic_linear_gap <= 1e-12
-    assert diag.curl_residual == 0.0  # no mixed pairs in d = 1
+    assert diag["flux_divergence_residual"] <= 1e-12
+    assert diag["quadratic_linear_gap"] <= 1e-12
+    assert diag["curl_residual"] == 0.0  # no mixed pairs in d = 1
 
 
 @pytest.mark.parametrize("d,N", [(1, 4), (2, 2), (3, 2)])
@@ -192,11 +191,11 @@ def test_identity_residual_thresholds(d, N):
         vnorm = np.linalg.norm(v)
         psi = grad(corrector(fld, v, tol=TOL).solution)
         diag, = identity_residuals([fld], [v], psi[:, None])
-        assert diag.orthogonality_residual <= 100 * TOL * vnorm ** 2 * c
-        assert diag.curl_residual <= 1e-12
-        assert diag.flux_divergence_residual <= 100 * TOL * c * vnorm
-        assert diag.l2_bound_margin >= -1e-8
-        assert diag.quadratic_linear_gap <= 100 * TOL * c * vnorm ** 2
+        assert diag["orthogonality_residual"] <= 100 * TOL * vnorm ** 2 * c
+        assert diag["curl_residual"] <= 1e-12
+        assert diag["flux_divergence_residual"] <= 100 * TOL * c * vnorm
+        assert diag["l2_bound_margin"] >= -1e-8
+        assert diag["quadratic_linear_gap"] <= 100 * TOL * c * vnorm ** 2
 
 
 def test_stacked_diagnostics_fail_member_by_member():
@@ -215,9 +214,10 @@ def test_stacked_diagnostics_fail_member_by_member():
                         for fld, vm in zip(flds, v)], axis=1)
         psi[:, bad] *= 1.1
         diags = identity_residuals(flds, v, psi)
+        assert diags.shape == (members,) and diags.dtype == DIAGNOSTICS
         for m, diag in enumerate(diags):
-            tripped = (diag.flux_divergence_residual > 100 * TOL * c
-                       or diag.orthogonality_residual > 100 * TOL * c)
+            tripped = (diag["flux_divergence_residual"] > 100 * TOL * c
+                       or diag["orthogonality_residual"] > 100 * TOL * c)
             assert tripped == (m == bad)
             if m != bad:
                 assert diag == identity_residuals([flds[m]], v[m:m + 1],
@@ -263,13 +263,20 @@ def test_matrix_serialization(tmp_path):
     assert doc["iterations"] > 0
     diag = doc["diagnostics"][0]
     # the artifact sorts its keys
-    assert list(diag) == sorted(f.name for f in fields(IdentityDiagnostics))
+    assert list(diag) == sorted(DIAGNOSTICS.names)
     assert list(diag["lp_norms"]) == ["2.0", "2.5", "3.0", "4.0"]
 
 
 def test_worst_takes_least_margin_and_largest_of_the_rest():
-    diags = [IdentityDiagnostics(1e-3, 0.0, 2.0, 5.0, {p: p for p in LP_EXPONENTS}, 1.0),
-             IdentityDiagnostics(1e-4, 1e-16, 3.0, 4.0,
-                                 {p: 7.0 - p for p in LP_EXPONENTS}, 0.5)]
-    assert IdentityDiagnostics.worst(diags) == IdentityDiagnostics(
-        1e-3, 1e-16, 3.0, 4.0, {2.0: 5.0, 2.5: 4.5, 3.0: 4.0, 4.0: 4.0}, 1.0)
+    # two records of d = 2 correctors each; every row reduces on its own
+    diags = np.zeros((2, 2), DIAGNOSTICS)
+    diags[0] = [(1e-3, 0.0, 2.0, 5.0, 1.0, (2.0, 2.5, 3.0, 4.0)),
+                (1e-4, 1e-16, 3.0, 4.0, 0.5, (5.0, 4.5, 4.0, 3.0))]
+    diags[1] = [(7.0, 1.0, 0.5, -1.0, 0.0, (1.0, 9.0, 1.0, 9.0)),
+                (8.0, 0.0, 0.25, 2.0, 3.0, (9.0, 1.0, 9.0, 1.0))]
+    got = worst(diags)
+    assert got.shape == (2,) and got.dtype == DIAGNOSTICS
+    assert got[0] == np.array((1e-3, 1e-16, 3.0, 4.0, 1.0, (5.0, 4.5, 4.0, 4.0)),
+                              DIAGNOSTICS)
+    assert got[1] == np.array((8.0, 1.0, 0.5, -1.0, 3.0, (9.0, 9.0, 9.0, 9.0)),
+                              DIAGNOSTICS)

@@ -325,6 +325,23 @@ def test_non_finite_right_side_is_rejected(bad):
         list(solve_poisson_stream(zip(fields, rhs)))
 
 
+def test_right_side_that_overflows_is_rejected():
+    # finite right sides whose norm, or whose constant part mean / lam,
+    # overflows: refused before any iteration, with no RuntimeWarning
+    # (pytest turns warnings into errors), not solved as inf, 0 or nan
+    fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 2), 0)
+    checker = np.where(np.indices((4, 4)).sum(axis=0) % 2, 1e200, -1e200)
+    cases = [lambda: solve_resolvent(fld, np.full((4, 4), 1e10), 1e-300),
+             lambda: solve_resolvent(fld, np.full((4, 4), 1e160), 1.0),
+             lambda: solve_poisson(fld, checker)]
+    for case in cases:
+        with pytest.raises(ValueError, match="finite"):
+            case()
+    # below the overflow the constant part is still exact
+    assert np.all(solve_resolvent(fld, np.full((4, 4), 1e150), 1.0).solution
+                  == 1e150)
+
+
 def test_solve_poisson_memory_per_site():
     # the right side counts: CG copies it, and every other update is in place
     fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 64), 5)
