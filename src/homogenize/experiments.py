@@ -205,11 +205,13 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
     independent of CG: the energy, its gradient and the stop rule
     ||g|| <= tol ||g_0|| come from grad and div_star alone, so a wrong P
     can only slow or stall the descent, never move the minimizer.  Returns
-    (sigma, quarter_form, |sigma - quarter_form|).  If max_steps steps
-    fall short, the ConvergenceError carries the final gradient norm
-    relative to the initial one.
+    (sigma, quarter_form, |sigma - quarter_form|), each for v in CG's unit
+    and scaled back by its square.  If max_steps steps fall short, the
+    ConvergenceError carries the final gradient norm relative to the first.
     """
     v = np.asarray(v, dtype=float)
+    unit = np.ldexp(0.5, np.frexp(np.abs(v).max())[1])
+    v = v / unit
     xi = fld.rates
     d = fld.dimension
     vol = fld.geometry.volume
@@ -250,8 +252,8 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
                                residual=float(gnorm / g0norm),
                                iterations=max_steps)
     w = vgrid + grad(f)
-    sigma = 0.5 * (float(np.sum(xi * w * w)) / vol)
-    quarter = 0.25 * effective_quadratic(fld, v, tol=tol)
+    sigma = 0.5 * (float(np.sum(xi * w * w)) / vol) * unit * unit
+    quarter = 0.25 * effective_quadratic(fld, v, tol=tol) * unit * unit
     return sigma, quarter, abs(sigma - quarter)
 
 

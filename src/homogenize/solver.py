@@ -9,8 +9,10 @@ The iteration cap follows from c and tol alone.  Both problems are solved
 on the zero-mean subspace: the preconditioner drops the zero mode, and the
 iterate and residual are re-projected (mean subtracted) every iteration to
 cure kernel drift from rounding.  A constant c on the right has the exact
-solution c / lam, and a mean within rounding of zero is dropped.  The
+solution c / lam, and a mean within 1e-12 ||g|| of zero is dropped.  The
 stopping rule is on the unpreconditioned residual, ||r|| <= tol ||g||.
+Each right side runs in units of 2^e <= max |g| < 2^(e+1), an exact
+division, so 2^k g is solved as exactly 2^k times g's solution at any k.
 
 There is one CG path, and it solves a stack of members, each a (field,
 right side) pair on one torus: the FFT runs over the trailing grid axes,
@@ -107,12 +109,12 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
     b stacks the right sides, shape (B, *grid).  Every member runs the
     one-field recurrence with its own alpha, beta, stop test, cap and mean
     re-projection; dots and means reduce each member's row alone, so its
-    iterates are those of a solve on its own.  A member is written out (a
-    view of the live iterate, no copy) when it converges and dropped from
-    the live set.  CG solves for each right side's mean-zero part, and a
-    mean adds mean / lam; lam = 0 is the singular Poisson problem, where
-    every right side must be orthogonal to constants.  Returns one
-    SolveReport per member.
+    iterates are those of a solve on its own.  At the top of the loop a
+    member is written out (a view of the live iterate, no copy; a constant
+    one at k = 0) and dropped from the live set.  CG solves for each right
+    side's mean-zero part, in the member's unit, and a mean adds mean / lam;
+    lam = 0 is the singular Poisson problem, where every right side must be
+    orthogonal to constants.  Returns one SolveReport per member.
     """
     if not tol > 0:
         raise ValueError(f"solver tolerance must be positive, got {tol}")
@@ -132,39 +134,50 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
     def center(u):
         u -= mean_rho(u, d).reshape(col)
 
-    with np.errstate(over="ignore"):   # an overflow is refused below
-        normb = np.sqrt(dot(b, b))
-        mean = mean_rho(b, d)
-        off = np.abs(mean) > 1e-12 * np.maximum(normb, 1.0)
-        if off.any() and not lam:
-            raise ValueError(
-                f"right side has nonzero mean {mean[off][0]:.3e}; the singular "
-                "problem is only solvable on the zero-mean subspace")
-        # (lam - L) c = lam c solves the constant part; a rounding mean is dropped
-        const = np.divide(mean, lam, out=np.zeros_like(mean), where=off)
-    if not (np.isfinite(normb).all() and np.isfinite(const).all()):
-        raise ValueError("right side too large: norm or mean / lam not finite")
-    r = b.copy()
+    # 2^e <= max |b| < 2^(e+1) (0.5 for 0): each nonzero row has norm >= 1
+    unit = np.ldexp(0.5, np.frexp(np.abs(b).reshape(len(b), -1).max(axis=1))[1])
+    r = b / unit.reshape(col)
+    normb = np.sqrt(dot(r, r))
+    mean = mean_rho(r, d)
+    off = np.abs(mean) > 1e-12 * normb
+    if off.any() and not lam:
+        raise ValueError(
+            f"right side has nonzero mean {mean[off][0] * unit[off][0]:.3e}; "
+            "the singular problem is only solvable on the zero-mean subspace")
+    # (lam - L) c = lam c solves the constant part; a rounding mean is dropped
+    with np.errstate(over="ignore"):   # an overflow is refused at the write-out
+        const = np.divide(mean * unit, lam, out=np.zeros_like(mean), where=off)
     center(r)
+    reports, live = [None] * len(b), np.arange(len(b))
+    caps = np.array([_maxiter(f, tol) for f in fields])
+    xi = stack_members([f.rates for f in fields], d)
+    inv = _inverse_symbols(fields, lam)
+    x, p, rz = np.zeros_like(r), np.zeros_like(r), np.ones(len(r))
+    res = np.sqrt(dot(r, r))
     # a right side with no mean-zero part is solved by its constant; it
     # centers to a constant, 0 or the rounding of its mean
-    solved = np.ptp(r.reshape(len(r), -1), axis=1) == 0
-    reports = [SolveReport(np.full(shape, c), 0, float(np.linalg.norm(u)))
-               if s else None for s, c, u in zip(solved, const, r)]
-    live = np.flatnonzero(~solved)
-    if not live.size:
-        return reports
-    members = [fields[i] for i in live]
-    caps = np.array([_maxiter(f, tol) for f in members])
-    xi = stack_members([f.rates for f in members], d)
-    inv = _inverse_symbols(members, lam)
-    normb, const, r = normb[live], const[live], r[live]
-    x = np.zeros((live.size,) + shape)
-    p = _precondition(r, inv, axes)   # the first direction is z itself
-    rz = dot(r, p)
-    res = normb   # the residual of x = 0, relative residual 1
+    done = np.ptp(r.reshape(len(r), -1), axis=1) == 0
     # updates are in place: of the iterates only x, r and p live across the FFT
-    for k in itertools.count(1):
+    for k in itertools.count():
+        if done.any():
+            for j, i in zip(np.flatnonzero(done), live[done]):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    x[j] *= unit[i]
+                    x[j] += const[i]
+                if not np.isfinite(x[j]).all():
+                    raise ValueError("solution or mean / lam not finite")
+                reports[i] = SolveReport(x[j], k, float(res[j] * unit[i]))
+            if done.all():
+                return reports
+            live, x, r, p, rz, res, normb, caps, inv = (
+                a[~done] for a in (live, x, r, p, rz, res, normb, caps, inv))
+            xi = xi[:, ~done]
+        z = _precondition(r, inv, axes)
+        rz_new = dot(r, z)
+        p *= (rz_new / rz).reshape(col)   # p = 0 and rz = 1 at k = 0: p is z
+        p += z
+        del z
+        rz = rz_new
         ap = generator(xi, p)
         np.negative(ap, out=ap)
         if lam:
@@ -174,12 +187,12 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
         pap = dot(p, ap)
         alpha = np.divide(rz, pap, out=np.full_like(rz, np.nan),
                           where=(rz > 0) & (pap > 0))
-        failed = (caps < k) | ~np.isfinite(alpha)
+        failed = (caps <= k) | ~np.isfinite(alpha)
         if failed.any():
             worst = float((res[failed] / normb[failed]).max())
             raise ConvergenceError(
-                f"CG stopped short of tol {tol} after {k - 1} iterations "
-                f"(last relative residual {worst:.3e})", worst, k - 1)
+                f"CG stopped short of tol {tol} after {k} iterations "
+                f"(last relative residual {worst:.3e})", worst, k)
         alpha = alpha.reshape(col)
         x += alpha * p
         r -= alpha * ap
@@ -188,22 +201,6 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
         center(r)
         res = np.sqrt(dot(r, r))
         done = res <= tol * normb
-        if done.any():
-            for j in np.flatnonzero(done):
-                x[j] += const[j]
-                reports[live[j]] = SolveReport(x[j], k, float(res[j]))
-            keep = ~done
-            if not keep.any():
-                return reports
-            live, x, r, p, rz, res, normb, caps, const, inv = (
-                a[keep] for a in (live, x, r, p, rz, res, normb, caps, const, inv))
-            xi = xi[:, keep]
-        z = _precondition(r, inv, axes)
-        rz_new = dot(r, z)
-        p *= (rz_new / rz).reshape(col)
-        p += z
-        del z
-        rz = rz_new
 
 
 def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL

@@ -319,6 +319,12 @@ def test_surface_tension_quadratic_scaling():
     s1, _, _ = surface_tension(fld, [1.0, 0.5])
     s2, _, _ = surface_tension(fld, [2.0, 1.0])
     assert abs(s2 - 4 * s1) <= 1e-8
+    # the descent runs in units of a power of two, so scaling v by 2^k
+    # scales sigma, the quarter form and their gap by 4^k bit for bit
+    unscaled = surface_tension(fld, [1.0, 0.5])
+    for k in (-500, -300, 1, 300):
+        scaled = surface_tension(fld, np.ldexp([1.0, 0.5], k))
+        assert scaled == tuple(np.ldexp(unscaled, 2 * k))
 
 
 def test_surface_tension_budget_exhaustion():

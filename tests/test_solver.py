@@ -211,6 +211,14 @@ def test_stacked_member_matches_solo_bit_for_bit(d, N, lam):
         alone = _cg(fields[i:i + 1], rhs[i:i + 1], lam, 1e-10)[0]
         assert np.array_equal(reps[i].solution, alone.solution)
         assert reps[i].iterations == alone.iterations
+    # members 2^k apart each run in their own unit: each is 2^k times the
+    # member solved at scale 1
+    ks = np.resize([-900, -300, 0, 300, 900], len(rhs))
+    scaled = _cg(fields, np.ldexp(rhs, ks.reshape((-1,) + (1,) * d)), lam, 1e-10)
+    for i in (0, 1, 2, 3, 4, 17, 63):
+        assert np.array_equal(scaled[i].solution, np.ldexp(reps[i].solution, ks[i]))
+        assert scaled[i].iterations == reps[i].iterations
+        assert scaled[i].residual_norm == np.ldexp(reps[i].residual_norm, ks[i])
 
 
 def test_zero_member_in_stack():
@@ -326,24 +334,55 @@ def test_non_finite_right_side_is_rejected(bad):
 
 
 def test_right_side_that_overflows_is_rejected():
-    # finite right sides whose norm, or whose constant part mean / lam,
-    # overflows: refused before any iteration, with no RuntimeWarning
-    # (pytest turns warnings into errors), not solved as inf, 0 or nan
+    # every member is solved in units of a power of two, so a right side
+    # near the double range is solved exactly; only an answer that does not
+    # fit in a double is refused, with no RuntimeWarning (pytest turns
+    # warnings into errors), not solved as inf, 0 or nan
     fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 2), 0)
-    checker = np.where(np.indices((4, 4)).sum(axis=0) % 2, 1e200, -1e200)
-    cases = [lambda: solve_resolvent(fld, np.full((4, 4), 1e10), 1e-300),
-             lambda: solve_resolvent(fld, np.full((4, 4), 1e160), 1.0),
-             lambda: solve_poisson(fld, checker)]
-    for case in cases:
-        with pytest.raises(ValueError, match="finite"):
-            case()
-    # below the overflow the constant part is still exact
-    assert np.all(solve_resolvent(fld, np.full((4, 4), 1e150), 1.0).solution
-                  == 1e150)
+    for c in (1e150, 1e160):
+        assert np.all(solve_resolvent(fld, np.full((4, 4), c), 1.0).solution == c)
+    checker = np.where(np.indices((4, 4)).sum(axis=0) % 2, 1.0, -1.0)
+    unit = solve_poisson(fld, checker)
+    big = solve_poisson(fld, np.ldexp(checker, 665))
+    assert np.array_equal(big.solution, np.ldexp(unit.solution, 665))
+    assert big.iterations == unit.iterations
+    # a constant part mean / lam, or a solution, beyond the double range
+    smooth = sample_environment(DisorderLaw.uniform(0.01, 0.02), TorusGeometry(2, 8), 0)
+    wave = 1.7e308 * np.cos(np.pi * np.indices((16, 16))[0] / 8)
+    with pytest.raises(ValueError, match="finite"):
+        solve_resolvent(fld, np.full((4, 4), 1e10), 1e-300)
+    with pytest.raises(ValueError, match="finite"):
+        solve_poisson(smooth, wave)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -300, 300, 600, 1000])
+def test_solves_are_exactly_equivariant_under_powers_of_two(k):
+    # the iterates run in units of a power of two, so scaling g by 2^k
+    # scales the solution and the residual by 2^k bit for bit, whatever k
+    fld, g = random_instance(2, 2, 130)
+    # the resolvent side has a constant part, solved as mean / lam
+    for solve, h in ((lambda h: solve_poisson(fld, h), g),
+                     (lambda h: solve_resolvent(fld, h, 0.5), g + 0.5)):
+        ref, rep = solve(h), solve(np.ldexp(h, k))
+        assert np.array_equal(rep.solution, np.ldexp(ref.solution, k))
+        assert rep.iterations == ref.iterations > 0
+        assert rep.residual_norm == np.ldexp(ref.residual_norm, k)
+
+
+def test_zero_mean_test_is_relative_to_the_right_side():
+    fld, _ = random_instance(2, 2, 0)
+    # a constant 1e-13 is a mean, not rounding, whatever its size
+    rep = solve_resolvent(fld, np.full((4, 4), 1e-13), 1e-3)
+    assert np.allclose(rep.solution, 1e-10, rtol=1e-14, atol=0)
+    spike = np.zeros((4, 4))
+    spike[0, 0] = 1e-12
+    with pytest.raises(ValueError, match="nonzero mean"):
+        solve_poisson(fld, spike)
 
 
 def test_solve_poisson_memory_per_site():
-    # the right side counts: CG copies it, and every other update is in place
+    # the right side counts: CG divides it by its unit into a new array, and
+    # every other update is in place
     fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 64), 5)
     # numpy's FFT plan for this side is built here, outside the trace, so the
     # reading does not depend on whether an earlier test built it
