@@ -1,12 +1,14 @@
 """Correctors, the effective diffusion matrix and its identity diagnostics.
 
-(v, D_N v) is the energy 2 sum_i mean(xi_i w_i^2) of the corrected gradient
-w = v + grad chi, chi the corrector (effective_quadratic); identity_residuals
-checks the finite-volume identities on psi = grad chi of solved correctors,
-one row of the structured dtype DIAGNOSTICS per corrector.
-Energies, diagnostics and the D_N assembly run once per solved stack of
-correctors, in the layout of operators; each sum adds in a lone field's
-order, so every number is bit for bit that of the field solved alone.
+D_N is the Gram matrix 2 sum_k mean((xi w^i)_k w^j_k) of the corrected
+gradients w^j = e_j + grad chi_j, chi_j the corrector; (v, D_N v) is its
+1 x 1 entry over [v] (effective_quadratic), on a basis vector bit for bit
+D_N's diagonal.  identity_residuals checks the finite-volume identities on
+psi = grad chi of solved correctors, one row of the structured dtype
+DIAGNOSTICS per corrector.  Diagnostics and the Gram assembly run once per
+solved stack of correctors, in the layout of operators; each sum adds in a
+lone field's order, so every number is bit for bit that of the field solved
+alone.
 
 Normalization: the homogeneous medium with rate a has effective matrix
 2a * Identity (the factor-2 convention of the mean-square-displacement
@@ -54,11 +56,11 @@ def worst(diags: np.ndarray) -> np.ndarray:
 class EffectiveMatrix:
     """The d x d effective diffusion matrix of one environment.
 
-    entries comes from the Gram (quadratic) form over the basis correctors
-    and is symmetric by construction; linear_form_entries is the
-    cross-check via the linear identity, symmetrized, with the raw
-    asymmetry norm reported; diagnostics holds the d basis correctors'
-    DIAGNOSTICS.
+    entries is the Gram (quadratic) form over the basis correctors, symmetric
+    by construction, with entry [j, j] effective_quadratic(fld, e_j) bit for
+    bit; linear_form_entries is the cross-check via the linear identity,
+    symmetrized, with the raw asymmetry norm reported; diagnostics holds the
+    d basis correctors' DIAGNOSTICS.
     """
 
     entries: np.ndarray
@@ -75,13 +77,6 @@ class EffectiveMatrix:
 def corrector(fld: BondField, v, tol: float = DEFAULT_TOL) -> SolveReport:
     """Zero-mean solution of -L chi = drift(v)."""
     return solve_poisson(fld, local_drift(fld, v), tol=tol)
-
-
-def _energy(xi: np.ndarray, w: np.ndarray):
-    """Energy 2 sum_i mean(xi_i w_i^2) of a corrected gradient w, or of each
-    member of a stack of them, with rates xi of the same shape."""
-    d = len(w)
-    return 2.0 * sum(mean_rho(xi[i] * w[i] ** 2, d) for i in range(d))
 
 
 def identity_residuals(fields, v, psi: np.ndarray) -> np.ndarray:
@@ -145,27 +140,9 @@ def identity_residuals(fields, v, psi: np.ndarray) -> np.ndarray:
 
 
 def effective_quadratic(fld: BondField, v, tol: float = DEFAULT_TOL) -> float:
-    """(v, D_N v) via the corrector route: the energy of v + grad chi.
-
-    Diagnostics are not computed here; identity_residuals gives them.
-    """
-    return next(effective_quadratics([fld], v, tol=tol))
-
-
-def effective_quadratics(fields, v, tol: float = DEFAULT_TOL):
-    """effective_quadratic of each field of an iterable, in order.
-
-    The correctors are solved in stacks (solve_poisson_stream), and fields
-    are pulled only as the stacks need them.
-    """
-    v = np.asarray(v, dtype=float)
-    d = len(v)
-    members = ((fld, local_drift(fld, v)) for fld in fields)
-    for stack in solve_poisson_stream(members, tol=tol):
-        w = grad(stack_members([rep.solution for _, rep in stack], d), d)
-        w += v.reshape((d,) + (1,) * (d + 1))   # in place: now v + grad chi
-        yield from _energy(stack_members([fld.rates for fld, _ in stack], d),
-                           w).tolist()
+    """(v, D_N v) via the corrector route: the 1 x 1 Gram matrix over [v],
+    on e_j bit for bit effective_matrix(fld).entries[j, j]."""
+    return float(next(effective_matrices([fld], tol, [v]))["entries"][0, 0, 0])
 
 
 def effective_matrix(fld: BondField, tol: float = DEFAULT_TOL) -> EffectiveMatrix:
@@ -180,20 +157,23 @@ def effective_matrix(fld: BondField, tol: float = DEFAULT_TOL) -> EffectiveMatri
     return EffectiveMatrix(**{name: col[0] for name, col in columns.items()})
 
 
-def effective_matrices(fields, tol: float = DEFAULT_TOL):
-    """effective_matrix of each field of an iterable, in order, as columns:
-    per solved stack, a dict of entries and linear_form_entries (F, d, d),
-    asymmetry (F,), diagnostics (F, d) and iterations (F,) of its F complete
-    fields.
+def effective_matrices(fields, tol: float = DEFAULT_TOL, directions=None):
+    """The Gram matrices over directions (K rows u_j, the basis np.eye(d) by
+    default) of each field of an iterable, in order, as columns: per solved
+    stack, a dict of entries and linear_form_entries (F, K, K), asymmetry
+    (F,), diagnostics (F, K) and iterations (F,) of its F complete fields.
+    entries[i, j] is (u_i, D_N u_j) = 2 sum_k mean((xi w^i)_k w^j_k) over
+    w^j = u_j + grad chi_j: D_N on the basis, (v, D_N v) over [v].
 
-    The basis correctors of consecutive fields are solved together in stacks
+    The correctors of consecutive fields are solved together in stacks
     (solve_poisson_stream), and fields are pulled only as the stacks need
     them, so a long stream holds one stack's fields at a time.  A field split
     between stacks waits for its last corrector and holds only the
     potentials chi_j of the solved ones, one grid each.
     """
-    members = ((fld, local_drift(fld, e)) for fld in fields
-               for e in np.eye(fld.dimension))
+    directions = None if directions is None else np.asarray(directions, dtype=float)
+    members = ((fld, local_drift(fld, u)) for fld in fields for u in
+               (np.eye(fld.dimension) if directions is None else directions))
     part = []   # (field, chi_j) of incomplete fields
     diags, iterations = np.empty(0, DIAGNOSTICS), np.empty(0, int)
     for stack in solve_poisson_stream(members, tol=tol):
@@ -202,38 +182,44 @@ def effective_matrices(fields, tol: float = DEFAULT_TOL):
         d = flds[0].dimension
         chis = stack_members([rep.solution for _, rep in stack], d)
         del stack   # stack_members copied a stack of several: free its solve
-        e = np.eye(d)[(len(part) + np.arange(len(flds))) % d]
-        diags = np.append(diags, identity_residuals(flds, e, grad(chis, d)))
+        u = np.eye(d) if directions is None else directions
+        K = len(u)
+        diags = np.append(diags, identity_residuals(
+            flds, u[(len(part) + np.arange(len(flds))) % K], grad(chis, d)))
         part += zip(flds, chis)
-        whole = len(part) // d * d
+        whole = len(part) // K * K
         if whole:
-            yield {**_matrices(*zip(*part[:whole])),
-                   "diagnostics": diags[:whole].reshape(-1, d),
-                   "iterations": iterations[:whole].reshape(-1, d).sum(axis=1)}
+            yield {**_matrices(u, *zip(*part[:whole])),
+                   "diagnostics": diags[:whole].reshape(-1, K),
+                   "iterations": iterations[:whole].reshape(-1, K).sum(axis=1)}
             part, diags, iterations = (
                 part[whole:], diags[whole:], iterations[whole:])
 
 
-def _matrices(flds, chis) -> dict:
-    """entries, linear_form_entries and asymmetry of the fields flds[::d] from
-    their correctors' potentials chi_j; the corrected gradients
-    w^j = e_j + grad chi_j are formed one component k at a time."""
-    d = flds[0].dimension
-    flds = flds[::d]
-    chis = [stack_members(chis[j::d], d) for j in range(d)]   # chi_j of every field
+def _matrices(u, flds, chis) -> dict:
+    """entries, linear_form_entries and asymmetry of the fields flds[::K] from
+    their correctors' potentials chi_j, one per row u_j of u; the corrected
+    gradients w^j = u_j + grad chi_j are formed one component k at a time."""
+    K, d = u.shape
+    flds = flds[::K]
+    chis = [stack_members(chis[j::K], d) for j in range(K)]   # chi_j of every field
     xi = stack_members([f.rates for f in flds], d)
-    quad = np.zeros((len(flds), d, d))
-    linear = np.zeros((len(flds), d, d))
+    quad = np.zeros((len(flds), K, K))
+    linear = np.zeros((len(flds), d, K))
     for k in range(d):
         w = [shift(chi, -1, k - d) - chi for chi in chis]   # w^j_k
-        w[k] += 1.0
-        for i in range(d):
+        for j in range(K):
+            w[j] += u[j, k]
+        for i in range(K):
             flux = xi[k] * w[i]
-            for j in range(d):
+            for j in range(K):
                 quad[:, i, j] += mean_rho(flux * w[j], d)
             linear[:, k, i] = 2.0 * mean_rho(flux, d)
-        del w   # before the next component's d grids
+        del w   # before the next component's K grids
     quad *= 2.0
+    # (u_j, 2 mean(xi w^i)), the linear form of (u_j, D u_i); einsum, as u @
+    # would start BLAS and its buffers (+0.25 MB peak RSS) for a K x d product
+    linear = np.einsum("jk,fki->fji", u, linear)
     return {"entries": 0.5 * (quad + quad.swapaxes(1, 2)),
             "linear_form_entries": 0.5 * (linear + linear.swapaxes(1, 2)),
             "asymmetry": np.array([np.linalg.norm(lin - lin.T) for lin in linear])}

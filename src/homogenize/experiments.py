@@ -20,9 +20,9 @@ import numpy as np
 from .environment import (BondField, DisorderLaw, SizeGuardError,
                           TorusGeometry, periodize, resample_bonds, rng_for,
                           sample_environment)
-from .operators import grad, local_drift, div_star
-from .diffusivity import (DIAGNOSTICS, _energy, corrector, effective_matrices,
-                          effective_quadratic, effective_quadratics, worst)
+from .operators import div_star, drift_vector, grad, local_drift, mean_rho
+from .diffusivity import (DIAGNOSTICS, corrector, effective_matrices,
+                          effective_quadratic, worst)
 from .solver import (DEFAULT_TOL, ConvergenceError, _inverse_symbols,
                      _precondition, solve_resolvent)
 
@@ -54,7 +54,8 @@ class CampaignConfig:
 # Most records of one campaign (replicas x torus sizes) or one Hamming study
 # (perturb counts x trials).  A campaign peaks at 0.8, 1.0 and 1.5 KB a record
 # above the interpreter at d = 1, 2 and 3, CSV text included (tracemalloc),
-# and a Hamming pair at about 0.4 KB, so a run at this bound holds under 1 GB.
+# and a Hamming pair at 0.3 to 0.4 KB at d = 1 to 3, JSON text included, so a
+# run at this bound holds under 1 GB.
 MAX_RECORDS = 2 ** 19
 
 # Defaults of concentration_study and surface_tension, which the CLI shares.
@@ -182,10 +183,11 @@ def hamming_sensitivity(fld: BondField, v, perturb_counts, trials: int,
             yield resample_bonds(fld, bonds, law, seed=int(rng.integers(2 ** 63)))
 
     # the baseline and every perturbed field are solved in stacks
-    base, *values = effective_quadratics(itertools.chain([fld], perturbed()), v,
-                                         tol=tol)
+    quads = np.concatenate([cols["entries"][:, 0, 0] for cols in effective_matrices(
+        itertools.chain([fld], perturbed()), tol, [v])])
+    base = float(quads[0])
     fracs = counts / nbonds
-    deltas = np.abs(np.array(values) - base)
+    deltas = np.abs(quads[1:] - base)
     ok = (fracs > 0) & (deltas > 0)
     exponent = None
     if ok.sum() >= 2 and len(set(np.round(np.log(fracs[ok]), 12))) >= 2:
@@ -208,8 +210,12 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
     (sigma, quarter_form, |sigma - quarter_form|), each for v in CG's unit
     and scaled back by its square.  If max_steps steps fall short, the
     ConvergenceError carries the final gradient norm relative to the first.
+    A v that drift_vector refuses, or max_steps < 1, raises ValueError
+    before the first step.
     """
-    v = np.asarray(v, dtype=float)
+    v = drift_vector(fld, v)
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     unit = np.ldexp(0.5, np.frexp(np.abs(v).max())[1])
     v = v / unit
     xi = fld.rates
@@ -223,8 +229,6 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
         g = (2.0 / vol) * div_star(xi * (vgrid + grad(f)))
         return g - g.mean()
 
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     f = np.zeros(fld.geometry.grid_shape)
     g = gradient(f)
     gnorm = g0norm = np.linalg.norm(g)
@@ -271,7 +275,8 @@ def resolvent_convergence(fld: BondField, v, lam_list,
     for lam in lam_list:
         chi_lam = solve_resolvent(fld, phi, lam, tol=tol).solution
         delta = grad(chi_lam) - psi
-        energy = _energy(fld.rates, delta)
-        rows.append({"lam": float(lam), "discrepancy": float(0.5 * energy)})
+        discrepancy = sum(mean_rho(fld.rates[i] * delta[i] ** 2)
+                          for i in range(fld.dimension))
+        rows.append({"lam": float(lam), "discrepancy": float(discrepancy)})
     return rows
 

@@ -79,15 +79,23 @@ def generator(xi: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
+def drift_vector(fld: BondField, v) -> np.ndarray:
+    """v as a float array of shape (d,); ValueError if not, or not finite."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (fld.dimension,):
+        raise ValueError(f"drift vector has shape {v.shape}, expected ({fld.dimension},)")
+    if not np.isfinite(v).all():
+        raise ValueError(f"drift vector must be finite, got {v.tolist()}")
+    return v
+
+
 def local_drift(fld: BondField, v) -> np.ndarray:
     """Drift of the walk seen from the particle, stationarized over the torus.
 
     Value at x is sum_i v_i (xi_i(x) - xi_i(x - e_i)); telescoping makes the
     site sum exactly zero.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (fld.dimension,):
-        raise ValueError(f"drift vector has shape {v.shape}, expected ({fld.dimension},)")
+    v = drift_vector(fld, v)
     xi = fld.rates
     out = np.zeros(fld.geometry.grid_shape)
     for i in range(fld.dimension):

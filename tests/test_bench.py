@@ -37,9 +37,10 @@ def test_traced_campaign_times_the_stacked_diagnostics(tmp_path, monkeypatch):
     name, at, info = fields.index("name"), fields.index("pass"), fields.index("info")
     spans = [json.loads(span) for span in spans]
     passes = [span[at] for span in spans if span[name] == "identity_residuals"]
-    # one call per solved stack: the toy converge solves each of its two
-    # torus sizes as one stack, in each of the two traced passes
-    assert sorted(passes) == [2, 2, 3, 3]
+    # one call per solved stack, in each of the two traced passes: the toy
+    # converge solves each of its two torus sizes as one stack, and the toy
+    # hamming its baseline and perturbed fields as one
+    assert sorted(passes) == [2, 2, 2, 3, 3, 3]
     # the tracer counts a campaign's records as len(run_campaign(...)): the
     # toy converge has N_list [2, 4] x 4 replicas, 8 records in each pass
     campaigns = [(span[at], span[info]) for span in spans

@@ -1,8 +1,11 @@
 """Corner sweep: every subcommand through cli.main at the extremes of its inputs.
 
-Each corner must exit 0 with no warning and write finite artifacts.  The
-axes so far: d in {1, 2, 3}, N in {1, 2}, and the scale s of
-vector = (s, 0, ...) from far below 1 to just under the 2^64 scale guard.
+Each corner must exit 0 with no warning and write finite artifacts; on the
+contrast axis a corner may instead exit 4 (a guard's refusal) and write
+nothing.  The axes so far, each over d in {1, 2, 3} and N in {1, 2} at the
+default tol: the scale s of vector = (s, 0, ...), from the zero vector and far
+below 1 to just under the 2^64 scale guard; and the contrast of the law, from
+a constant one to c = 2^63, also just under that guard.
 """
 
 import contextlib
@@ -14,17 +17,23 @@ import math
 import time
 import warnings
 
-from homogenize.cli import SUBCOMMANDS, main
+from homogenize.cli import EXIT_GUARD, SUBCOMMANDS, main
 
-SCALES = (1e-300, 1e-200, 1e-160, 1e-100, 1.0, 2.0 ** 60)
+SCALES = (0.0, 1e-300, 1e-200, 1e-160, 1e-100, 1.0, 2.0 ** 60)
+LAWS = ({"kind": "uniform", "params": [0.2, 5.0]},
+        {"kind": "two_point", "params": [1e-6, 1.0, 0.5]},
+        {"kind": "two_point", "params": [1e-12, 1.0, 0.5]},
+        {"kind": "constant", "params": [2.0]},
+        {"kind": "two_point", "params": [2.0 ** -63, 1.0, 0.5]})
 TORI = list(itertools.product((1, 2, 3), (1, 2)))
 
 
-def corner_config(d, N, s):
-    """A runnable config on the torus (d, N) with vector (s, 0, ...), every
-    section small enough for the whole sweep to take about a second."""
+def corner_config(d, N, s=1.0, law=None):
+    """A runnable config on the torus (d, N) with vector (s, 0, ...) and law
+    (uniform[0.5, 2] by default), every section small enough for a whole
+    sweep to take about a second."""
     return {"geometry": {"dimension": d, "half_period": N},
-            "law": {"kind": "uniform", "params": [0.5, 2.0]}, "seed": 0,
+            "law": law or {"kind": "uniform", "params": [0.5, 2.0]}, "seed": 0,
             "vector": [s] + [0.0] * (d - 1),
             "campaign": {"N_list": [N], "replicas": 2},
             "walk": {"t": 1.0, "walkers": 2},
@@ -44,31 +53,52 @@ def non_finite(path):
             if i != 4 and not math.isfinite(float(cell))]
 
 
+def run_corner(tmp_path, corner, config, refusable=False):
+    """The failures of one corner: a warning or exception, an exit other than
+    0 (or 4 with nothing written, if refusable), or a missing or non-finite
+    artifact."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "_".join(map(str, corner))
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("error")
+            code = main([corner[0], "--config", str(path), "--output-dir", str(out)])
+    except Exception as exc:   # a warning, or a program bug (exit 1)
+        return [(*corner, repr(exc))]
+    written = sorted(out.iterdir()) if out.exists() else []
+    if refusable and code == EXIT_GUARD:
+        return [(*corner, "refused but wrote", written)] if written else []
+    if code != 0:
+        return [(*corner, code, err.getvalue())]
+    if not written:
+        return [(*corner, "no artifact")]
+    return [(*corner, path.name, bad) for path in written
+            if (bad := non_finite(path))]
+
+
 def test_vector_scale_corners_exit_0_with_finite_artifacts(tmp_path):
     failures = []
     start = time.perf_counter()
     for sub, (d, N), s in itertools.product(SUBCOMMANDS, TORI, SCALES):
-        corner = (sub, d, N, s)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(corner_config(d, N, s)))
-        out = tmp_path / f"{sub}_{d}_{N}_{s:g}"
-        try:
-            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()) as err:
-                warnings.simplefilter("error")
-                code = main([sub, "--config", str(config), "--output-dir", str(out)])
-        except Exception as exc:   # a warning, or a program bug (exit 1)
-            failures.append((*corner, repr(exc)))
-            continue
-        if code != 0:
-            failures.append((*corner, code, err.getvalue()))
-            continue
-        written = sorted(out.iterdir())
-        if not written:
-            failures.append((*corner, "no artifact"))
-        failures += [(*corner, path.name, bad) for path in written
-                     if (bad := non_finite(path))]
+        failures += run_corner(tmp_path, (sub, d, N, f"{s:g}"), corner_config(d, N, s))
     elapsed = time.perf_counter() - start
     assert not failures, failures
     count = len(SUBCOMMANDS) * len(TORI) * len(SCALES)
+    assert elapsed < 3.0, f"{count} corners took {elapsed:.2f} s"
+
+
+def test_contrast_corners_exit_0_or_are_refused(tmp_path):
+    # a spectrum whose atom 1 eigh cannot resolve exits 4 (spectral at d=1
+    # N=2, c = 2^63); every other corner exits 0
+    failures = []
+    start = time.perf_counter()
+    for sub, (d, N), (i, law) in itertools.product(SUBCOMMANDS, TORI,
+                                                   enumerate(LAWS)):
+        failures += run_corner(tmp_path, (sub, d, N, f"law{i}"),
+                               corner_config(d, N, law=law), refusable=True)
+    elapsed = time.perf_counter() - start
+    assert not failures, failures
+    count = len(SUBCOMMANDS) * len(TORI) * len(LAWS)
     assert elapsed < 3.0, f"{count} corners took {elapsed:.2f} s"

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from homogenize.cli import run
-from homogenize.diffusivity import (DIAGNOSTICS, corrector, effective_matrix,
-                                    effective_quadratic, identity_residuals,
-                                    worst)
+from homogenize.diffusivity import (DIAGNOSTICS, corrector, effective_matrices,
+                                    effective_matrix, effective_quadratic,
+                                    identity_residuals, worst)
 from homogenize.environment import (BondField, DisorderLaw, GeometryMismatchError,
                                     TorusGeometry, rng_for, sample_environment)
 from homogenize.operators import grad, mean_rho
@@ -130,6 +130,38 @@ def test_effective_matrix_consistency_and_bounds():
     eigs = np.linalg.eigvalsh(mat.entries)
     assert eigs.min() >= 2 / c - 1e-8
     assert eigs.max() <= 2 * c + 1e-8
+
+
+@pytest.mark.parametrize("d,N", [(1, 4), (2, 4), (2, 8), (2, 64), (3, 2), (3, 4)])
+def test_effective_quadratic_is_the_matrix_diagonal_bit_for_bit(d, N):
+    # (e_j, D_N e_j) is the 1 x 1 Gram entry over e_j: the same products,
+    # summed in the same order, as entry [j, j] of the basis Gram matrix
+    law = DisorderLaw.uniform(0.2, 5.0)
+    for seed in range(5):
+        fld = sample_environment(law, TorusGeometry(d, N), seed)
+        diagonal = effective_matrix(fld).entries.diagonal().tolist()
+        assert [effective_quadratic(fld, e) for e in np.eye(d)] == diagonal
+
+
+def test_effective_matrices_over_directions_is_their_gram_matrix():
+    fld = sample_environment(UNIFORM, TorusGeometry(2, 4), 5)
+    other = sample_environment(UNIFORM, TorusGeometry(2, 4), 6)
+    U = np.array([[1.0, 0.5], [-0.3, 2.0], [0.0, 1.0]])
+    cols = next(effective_matrices([fld, other], 1e-12, U))
+    assert cols["entries"].shape == cols["linear_form_entries"].shape == (2, 3, 3)
+    assert cols["diagnostics"].shape == (2, 3)
+    for f, field in enumerate([fld, other]):
+        mat = effective_matrix(field, tol=1e-12)
+        # correctors are linear in their direction: U D U^T up to the solves
+        assert np.allclose(cols["entries"][f], U @ mat.entries @ U.T,
+                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(cols["linear_form_entries"][f],
+                           U @ mat.linear_form_entries @ U.T, rtol=1e-9, atol=1e-9)
+        reports = [corrector(field, u, tol=1e-12) for u in U]
+        assert cols["iterations"][f] == sum(rep.iterations for rep in reports)
+        for j, (u, rep) in enumerate(zip(U, reports)):
+            alone, = identity_residuals([field], [u], grad(rep.solution)[:, None])
+            assert cols["diagnostics"][f, j] == alone
 
 
 @pytest.mark.parametrize("d,N", [(1, 8), (2, 4), (3, 2)])

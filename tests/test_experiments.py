@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -247,9 +248,12 @@ def test_hamming_medians_group_by_exact_count(monkeypatch):
     # 524,288 bonds: the fractions of 100000 and 100001 bonds agree to 1e-5
     geom = TorusGeometry(2, 256)
     ones = BondField(geom, 2.0, np.ones((2,) + geom.grid_shape))
-    # stand-in for D_N^{11}: the rate sum, which each resampled bond raises by 1
-    monkeypatch.setattr(experiments, "effective_quadratics",
-                        lambda fields, v, tol: (float(f.rates.sum()) for f in fields))
+    # stand-in for D_N^{11}: the rate sum, which each resampled bond raises by
+    # 1, as the 1 x 1 entries of one field per stack
+    monkeypatch.setattr(experiments, "effective_matrices",
+                        lambda fields, tol, directions: (
+                            {"entries": np.full((1, 1, 1), float(f.rates.sum()))}
+                            for f in fields))
     out = hamming_sensitivity(ones, np.eye(2)[0], (100_000, 100_001), trials=1,
                               law=DisorderLaw.constant(2.0))
     assert out["medians"] == {100_000: 100_000.0, 100_001: 100_001.0}
@@ -278,7 +282,7 @@ def test_hamming_refuses_no_trial_or_no_count_before_sampling(monkeypatch):
         raise AssertionError("sampled a perturbation")
 
     monkeypatch.setattr(experiments, "rng_for", unreachable)
-    monkeypatch.setattr(experiments, "effective_quadratics", unreachable)
+    monkeypatch.setattr(experiments, "effective_matrices", unreachable)
     law = DisorderLaw.uniform(0.5, 2.0)
     fld = sample_environment(law, TorusGeometry(2, 2), 0)
     for trials in (0, -1):
@@ -344,6 +348,29 @@ def test_surface_tension_budget_exhaustion():
     tight, _, gap = surface_tension(fld, [1.0, 0.0], tol=1e-12)
     assert loose != tight
     assert gap <= 1e-12
+
+
+def test_surface_tension_refuses_bad_input_before_descending(monkeypatch):
+    calls = []
+    precondition = experiments._precondition
+    monkeypatch.setattr(experiments, "_precondition",
+                        lambda *args: calls.append(args) or precondition(*args))
+    fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 2), 0)
+    cases = [([np.nan, 0.0], {}, "drift vector must be finite"),
+             ([np.inf, 0.0], {}, "drift vector must be finite"),
+             ([[1.0, 0.0]], {}, r"drift vector has shape \(1, 2\)"),
+             ([1.0], {}, r"drift vector has shape \(1,\)"),
+             ([], {}, r"drift vector has shape \(0,\)"),
+             ([1.0, 0.0], {"max_steps": 0}, "max_steps must be at least 1"),
+             ([1.0, 0.0], {"max_steps": -1}, "max_steps must be at least 1")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v, kwargs, match in cases:
+            with pytest.raises(ValueError, match=match):
+                surface_tension(fld, v, **kwargs)
+    assert calls == []
+    surface_tension(fld, [1.0, 0.0])   # the count sees a descent
+    assert calls
 
 
 def test_surface_tension_steps_flat_in_n():

@@ -19,6 +19,9 @@ tests/oracles.py, the reference oracles that the package is checked against.
 
 The fifth keeps artifact encoding in the command line: no other package
 module imports json, csv, io or hashlib.
+
+The sixth keeps each module's private names its own: a package module
+imports another's _private name only if PRIVATE_IMPORTS lists it.
 """
 
 import ast
@@ -258,3 +261,42 @@ def test_only_cli_imports_serializers():
     package = _all_package_sources()
     assert "cli" in package and "__init__" in package
     assert serializer_imports(package) == []
+
+
+# The _private names one package module may import from another, as
+# module.name: the solver's preconditioner for the surface-tension descent,
+# its eigenvalue guard for the spectral route, and the walker's standard
+# error for the spectral Monte Carlo moment.
+PRIVATE_IMPORTS = {"solver._inverse_symbols", "solver._precondition",
+                   "solver._check_resolved", "walker._mean_se"}
+
+
+def private_imports(package: dict[str, str]) -> list[str]:
+    """Names with one leading underscore that a package module imports from
+    another module, as importer: module.name."""
+    out = []
+    for module, source in package.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                origin = node.module.removeprefix("homogenize.")
+                out += [f"{module}: {origin}.{alias.name}" for alias in node.names
+                        if alias.name.startswith("_")
+                        and not alias.name.startswith("__")]
+    return out
+
+
+def test_private_import_is_detected():
+    planted = ("from __future__ import annotations\nfrom . import __version__\n"
+               "from .diffusivity import _energy, worst\n"
+               "from homogenize.solver import _cg as cg\n")
+    assert private_imports({"planted": planted}) == [
+        "planted: diffusivity._energy", "planted: solver._cg"]
+
+
+def test_private_imports_are_allowlisted():
+    found = {entry.split(": ")[1]: entry
+             for entry in private_imports(_all_package_sources())}
+    offenders = [entry for name, entry in found.items() if name not in PRIVATE_IMPORTS]
+    assert not offenders, "private names imported across modules:\n" + "\n".join(offenders)
+    # a name no module imports any more leaves the allowlist
+    assert set(found) == PRIVATE_IMPORTS
