@@ -16,7 +16,7 @@ print(f"two_point(1/2, 2, 1/2): infinite-volume D = {target}")
 
 config = CampaignConfig(law, dimension=1, N_list=(8, 16, 32, 64),
                         replicas=300, master_seed=0)
-study = convergence_study(config, run_campaign(config))
+study = convergence_study(run_campaign(config))
 
 print(f"\n{'N':>4} {'mean D_N':>10} {'95% CI':>10} {'|mean_N - mean_2N|':>20}")
 for row in study["table"]:

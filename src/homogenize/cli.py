@@ -29,6 +29,7 @@ from . import __version__
 from .environment import (DisorderLaw, SizeGuardError, TorusGeometry,
                           guard_sites, sample_environment)
 from .diffusivity import DIAGNOSTICS, LP_EXPONENTS, effective_matrix
+from .operators import drift_vector
 from .solver import DEFAULT_TOL, ConvergenceError
 from .spectral import (diffusivity_via_spectrum, semigroup_moment,
                        semigroup_moment_mc, spectral_measure)
@@ -287,11 +288,8 @@ def _common(config: dict):
     # every torus a subcommand builds has this dimension and at least the
     # unit torus's 2^d sites, so refuse it before v is built
     guard_sites(TorusGeometry(geom.dimension, 1))
-    vector = config.get("vector")
-    v = np.asarray(vector, dtype=float) if vector is not None \
-        else np.eye(1, geom.dimension)[0]
-    if v.shape != (geom.dimension,):
-        raise ConfigError(f"vector has length {v.size}, expected {geom.dimension}")
+    v = _from_config("vector", drift_vector, geom.dimension,
+                     config.get("vector", np.eye(1, geom.dimension)[0]))
     scale = law.ellipticity() * max(1.0, float(np.abs(v).sum()))
     if scale > MAX_SCALE:
         raise ConfigError(f"scale c * max(1, |vector|_1) = {scale:.3g} of law "
@@ -383,10 +381,10 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
         camp_cfg = _campaign_config(config, geom, law, tol)
         records = run_campaign(camp_cfg)
         if subcommand == "converge":
-            study = convergence_study(camp_cfg, records)
+            study = convergence_study(records)
         else:
             eps = tuple(config.get("campaign", {}).get("epsilons", DEFAULT_EPSILONS))
-            study = concentration_study(camp_cfg, records, v, epsilons=eps)
+            study = concentration_study(records, v, epsilons=eps)
         texts["csv"] = records_to_csv(records, camp_cfg)
         payload = {"config": camp_cfg.to_json(), **study}
 

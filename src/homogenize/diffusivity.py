@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import BondField, GeometryMismatchError
-from .operators import grad, local_drift, mean_rho, shift, stack_members
+from .operators import (drift_vector, grad, local_drift, mean_rho, shift,
+                        stack_members)
 from .solver import (DEFAULT_TOL, SolveReport, solve_poisson,
                      solve_poisson_stream)
 
@@ -70,7 +71,7 @@ class EffectiveMatrix:
     iterations: int
 
     def quadratic_form(self, v) -> float:
-        v = np.asarray(v, dtype=float)
+        v = drift_vector(len(self.entries), v)
         return float(v @ self.entries @ v)
 
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Most sites of a sampled torus.  effective_matrix peaks about 80 bytes a
-# site above the interpreter at d = 3 (tracemalloc: 90 at N = 12, 82 at
-# N = 24, the largest bench torus, 81 at N = 32), and the rates take 24
-# more, so a solve at this bound needs about 0.45 GB (444 MB resident at
-# d = 3, N = 80, 4,096,000 sites).
+# Most sites of a sampled torus (sites, not bytes: the rates take 8 d bytes a
+# site, the walker's tables about 96 d).  At d = 3 effective_matrix peaks about
+# 80 bytes a site above the interpreter (tracemalloc: 90 at N = 12, 82 at N =
+# 24, the largest bench torus, 81 at N = 32) and the rates 24, so a solve at
+# this bound needs about 0.45 GB (444 MB resident at N = 80, 4,096,000 sites).
 MAX_SITES = 2 ** 22
 
 

@@ -109,14 +109,14 @@ def run_campaign(config: CampaignConfig) -> np.recarray:
     return records
 
 
-def convergence_study(config: CampaignConfig, records: np.recarray) -> dict:
-    """Monte Carlo means of D_N per torus size over run_campaign's records.
+def convergence_study(records: np.recarray) -> dict:
+    """Monte Carlo means of D_N at each torus size run_campaign's records hold.
 
     The successive-difference column |mean_N - mean_2N| (max over entries)
     is the convergence proxy; CI halfwidths are 1.96 * sem.
     """
     table = []
-    for n in config.N_list:
+    for n in np.unique(records.N).tolist():
         block = records.entries[records.N == n]
         mean = block.mean(axis=0)
         sem = block.std(axis=0, ddof=1) / np.sqrt(block.shape[0])
@@ -126,16 +126,17 @@ def convergence_study(config: CampaignConfig, records: np.recarray) -> dict:
     return {"table": table}
 
 
-def concentration_study(config: CampaignConfig, records: np.recarray, v,
+def concentration_study(records: np.recarray, v,
                         epsilons=DEFAULT_EPSILONS) -> dict:
-    """Spread of (v, D_N v) across run_campaign's replicas per torus size.
+    """Spread of (v, D_N v) across the replicas at each size the records hold.
 
     Reports the empirical standard deviation, the tail frequency beyond
-    each epsilon, and the fitted exponent of std ~ N^-exponent.
+    each epsilon, and the fitted exponent of std ~ N^-exponent.  A v that
+    drift_vector refuses for the records' dimension raises ValueError.
     """
-    v = np.asarray(v, dtype=float)
+    v = drift_vector(records.entries.shape[-1], v)
     table = []
-    for n in config.N_list:
+    for n in np.unique(records.N).tolist():
         vals = np.array([v @ e @ v for e in records.entries[records.N == n]])
         centered = np.abs(vals - vals.mean())
         table.append({
@@ -210,14 +211,15 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
     (sigma, quarter_form, |sigma - quarter_form|), each for v in CG's unit
     and scaled back by its square.  If max_steps steps fall short, the
     ConvergenceError carries the final gradient norm relative to the first.
-    A v that drift_vector refuses, or max_steps < 1, raises ValueError
-    before the first step.
+    The quarter form comes first, so a v that drift_vector refuses, a tol
+    CG refuses, or max_steps < 1 raises ValueError before the first step.
     """
-    v = drift_vector(fld, v)
+    v = drift_vector(fld.dimension, v)
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     unit = np.ldexp(0.5, np.frexp(np.abs(v).max())[1])
     v = v / unit
+    quarter = 0.25 * effective_quadratic(fld, v, tol=tol) * unit * unit
     xi = fld.rates
     d = fld.dimension
     vol = fld.geometry.volume
@@ -257,7 +259,6 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
                                iterations=max_steps)
     w = vgrid + grad(f)
     sigma = 0.5 * (float(np.sum(xi * w * w)) / vol) * unit * unit
-    quarter = 0.25 * effective_quadratic(fld, v, tol=tol) * unit * unit
     return sigma, quarter, abs(sigma - quarter)
 
 
@@ -268,7 +269,6 @@ def resolvent_convergence(fld: BondField, v, lam_list,
     For each lam the discrepancy sum_i mean(xi_i (grad_i chi_lam - psi^i)^2)
     is reported; it decreases to zero as lam drops below the spectral gap.
     """
-    v = np.asarray(v, dtype=float)
     phi = local_drift(fld, v)
     psi = grad(corrector(fld, v, tol=tol).solution)
     rows = []

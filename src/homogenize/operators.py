@@ -79,11 +79,11 @@ def generator(xi: np.ndarray, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def drift_vector(fld: BondField, v) -> np.ndarray:
-    """v as a float array of shape (d,); ValueError if not, or not finite."""
+def drift_vector(d: int, v) -> np.ndarray:
+    """The one direction check: v as a finite float (d,) array, else ValueError."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (fld.dimension,):
-        raise ValueError(f"drift vector has shape {v.shape}, expected ({fld.dimension},)")
+    if v.shape != (d,):
+        raise ValueError(f"drift vector has shape {v.shape}, expected ({d},)")
     if not np.isfinite(v).all():
         raise ValueError(f"drift vector must be finite, got {v.tolist()}")
     return v
@@ -95,7 +95,7 @@ def local_drift(fld: BondField, v) -> np.ndarray:
     Value at x is sum_i v_i (xi_i(x) - xi_i(x - e_i)); telescoping makes the
     site sum exactly zero.
     """
-    v = drift_vector(fld, v)
+    v = drift_vector(fld.dimension, v)
     xi = fld.rates
     out = np.zeros(fld.geometry.grid_shape)
     for i in range(fld.dimension):

@@ -211,9 +211,9 @@ def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL
 
 def solve_resolvent(fld: BondField, g: np.ndarray, lam: float,
                     tol: float = DEFAULT_TOL) -> SolveReport:
-    """Solve (lam - L) u = g; requires lam > 0 (operator nonsingular).  The
+    """Solve (lam - L) u = g; a lam not > 0 (NaN too) raises ValueError.  The
     mean-zero part of g is solved by CG, and its mean m adds exactly m / lam."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"resolvent parameter must be positive, got {lam}")
     return _cg([fld], g[None], lam, tol)[0]
 

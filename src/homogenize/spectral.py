@@ -80,7 +80,8 @@ def semigroup_moment(measure: SpectralMeasure, n: float) -> float:
     """sum of weight * exp(-n * eigenvalue); total mass at n = 0."""
     if not 0 <= n < np.inf:
         raise ValueError(f"moment order must be finite and nonnegative, got {n}")
-    return float((measure.weights * np.exp(-n * measure.eigenvalues)).sum())
+    with np.errstate(over="ignore"):   # exp(-inf) = 0 is the exact limit
+        return float((measure.weights * np.exp(-n * measure.eigenvalues)).sum())
 
 
 def semigroup_moment_mc(fld: BondField, v, n: float, walkers: int,

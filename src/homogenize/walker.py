@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .environment import BondField, SizeGuardError, move_table, rng_for
+from .operators import drift_vector
 
 MAX_WALKERS = 2 ** 24
 MAX_JUMPS = 2 ** 32   # bound on walkers * t * (largest holding rate)
@@ -132,9 +133,9 @@ def msd_estimate(fld: BondField, v, t: float, walkers: int, seed: int = 0,
                  start: str = "origin") -> tuple[float, float]:
     """Estimate (v, D_N v) as mean((X_t . v)^2) / t with its standard error.
 
-    start is "origin" or "uniform", as in walk_batch.  A v of any shape
-    but (d,), or fewer than 2 walkers, raises ValueError before any walker
-    runs.
+    start is "origin" or "uniform", as in walk_batch.  A t that is not
+    positive, a v that drift_vector refuses, or fewer than 2 walkers, raises
+    ValueError before any walker runs.
 
     The estimator carries an O(1/t) finite-horizon bias on top of the
     reported Monte Carlo error; pick t large enough that the bias is below
@@ -142,9 +143,7 @@ def msd_estimate(fld: BondField, v, t: float, walkers: int, seed: int = 0,
     """
     if not t > 0:
         raise ValueError(f"horizon must be positive, got {t}")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (fld.dimension,):
-        raise ValueError(f"direction has shape {v.shape}, expected ({fld.dimension},)")
+    v = drift_vector(fld.dimension, v)
     if walkers < 2:
         raise ValueError(f"need at least 2 walkers for a standard error, got {walkers}")
     disp, _, _ = walk_batch(fld, t, walkers, seed, start=start)

@@ -144,7 +144,7 @@ def test_criterion_07_convergence():
     start = time.monotonic()
     cfg1 = CampaignConfig(TWO_POINT, 1, (8, 16, 32, 64), replicas=500,
                           master_seed=0)
-    study1 = convergence_study(cfg1, run_campaign(cfg1))
+    study1 = convergence_study(run_campaign(cfg1))
     diffs1 = [row["diff_to_next"] for row in study1["table"][:-1]]
     assert all(a > b for a, b in zip(diffs1, diffs1[1:]))
     # CI containment of the infinite-volume value 1.6 is asserted at the
@@ -156,7 +156,7 @@ def test_criterion_07_convergence():
 
     cfg2 = CampaignConfig(TWO_POINT, 2, (4, 8, 16), replicas=200,
                           master_seed=0)
-    study2 = convergence_study(cfg2, run_campaign(cfg2))
+    study2 = convergence_study(run_campaign(cfg2))
     diffs2 = [row["diff_to_next"] for row in study2["table"][:-1]]
     assert all(a > b for a, b in zip(diffs2, diffs2[1:]))
     elapsed = time.monotonic() - start
@@ -168,14 +168,14 @@ def test_criterion_07_convergence():
 def test_criterion_08_concentration(uniform_2d_campaign):
     start = time.monotonic()
     cfg2, records2 = uniform_2d_campaign
-    study2 = concentration_study(cfg2, records2, np.eye(2)[0])
+    study2 = concentration_study(records2, np.eye(2)[0])
     stds = [row["std"] for row in study2["table"]]
     ratios = [b / a for a, b in zip(stds, stds[1:])]
     assert all(r <= 0.8 for r in ratios)
 
     cfg1 = CampaignConfig(UNIFORM, 1, (8, 16, 32, 64), replicas=200,
                           master_seed=0)
-    study1 = concentration_study(cfg1, run_campaign(cfg1), np.eye(1)[0])
+    study1 = concentration_study(run_campaign(cfg1), np.eye(1)[0])
     exponent = study1["decay_exponent"]
     assert 0.35 <= exponent <= 0.65
     elapsed = time.monotonic() - start

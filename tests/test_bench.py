@@ -46,3 +46,14 @@ def test_traced_campaign_times_the_stacked_diagnostics(tmp_path, monkeypatch):
     campaigns = [(span[at], span[info]) for span in spans
                  if span[name] == "run_campaign"]
     assert sorted(campaigns) == [(2, 8), (3, 8)]
+
+
+def test_every_traced_name_resolves_to_a_function(monkeypatch):
+    # the tracer wraps these names in the bench's child process, where a
+    # missing one fails with a traceback that does not name it
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    missing = [(module, name) for module, table in tracing.WRAPPED.items()
+               for name in table
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert not missing, missing

@@ -1,11 +1,14 @@
 """Corner sweep: every subcommand through cli.main at the extremes of its inputs.
 
 Each corner must exit 0 with no warning and write finite artifacts; on the
-contrast axis a corner may instead exit 4 (a guard's refusal) and write
-nothing.  The axes so far, each over d in {1, 2, 3} and N in {1, 2} at the
-default tol: the scale s of vector = (s, 0, ...), from the zero vector and far
-below 1 to just under the 2^64 scale guard; and the contrast of the law, from
-a constant one to c = 2^63, also just under that guard.
+contrast axis and the parameter axes a corner may instead exit 4 (a guard's
+refusal) and write nothing.  The axes so far, each over d in {1, 2, 3} and
+N in {1, 2}: at the default tol, the scale s of vector = (s, 0, ...), from the
+zero vector and far below 1 to just under the 2^64 scale guard, and the
+contrast of the law, from a constant one to c = 2^63, also just under that
+guard; then the parameters, each through the subcommand that reads it:
+spectral.n, walk.t and resolvent.lambdas from the least positive double to
+their largest, and a loose solver.tol through every subcommand.
 """
 
 import contextlib
@@ -26,6 +29,13 @@ LAWS = ({"kind": "uniform", "params": [0.2, 5.0]},
         {"kind": "constant", "params": [2.0]},
         {"kind": "two_point", "params": [2.0 ** -63, 1.0, 0.5]})
 TORI = list(itertools.product((1, 2, 3), (1, 2)))
+# (subcommand, dotted key, values); a spectral n of 1e300 or more asks its
+# Monte Carlo walkers for more than 2^32 jumps, and exits 4
+PARAMETERS = [("spectral", "spectral.n", (0.0, 5e-324, 1e300, 1.7e308)),
+              ("walk", "walk.t", (5e-324, 1e-300, 1e3)),
+              ("resolvent", "resolvent.lambdas",
+               ([5e-324], [1e-300], [1e300], [1.7e308]))]
+PARAMETERS += [(sub, "solver.tol", (1e-15, 0.5, 10.0)) for sub in SUBCOMMANDS]
 
 
 def corner_config(d, N, s=1.0, law=None):
@@ -101,4 +111,21 @@ def test_contrast_corners_exit_0_or_are_refused(tmp_path):
     elapsed = time.perf_counter() - start
     assert not failures, failures
     count = len(SUBCOMMANDS) * len(TORI) * len(LAWS)
+    assert elapsed < 3.0, f"{count} corners took {elapsed:.2f} s"
+
+
+def test_parameter_corners_exit_0_or_are_refused(tmp_path):
+    failures = []
+    count = 0
+    start = time.perf_counter()
+    for (sub, key, values), (d, N) in itertools.product(PARAMETERS, TORI):
+        section, name = key.split(".")
+        for value in values:
+            config = corner_config(d, N)
+            config.setdefault(section, {})[name] = value
+            failures += run_corner(tmp_path, (sub, d, N, key, f"{value}"),
+                                   config, refusable=True)
+            count += 1
+    elapsed = time.perf_counter() - start
+    assert not failures, failures
     assert elapsed < 3.0, f"{count} corners took {elapsed:.2f} s"

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -312,3 +313,14 @@ def test_worst_takes_least_margin_and_largest_of_the_rest():
                               DIAGNOSTICS)
     assert got[1] == np.array((8.0, 1.0, 0.5, -1.0, 3.0, (9.0, 9.0, 9.0, 9.0)),
                               DIAGNOSTICS)
+
+
+def test_quadratic_form_refuses_what_drift_vector_refuses():
+    # a NaN direction is refused, not read off the matrix as nan
+    mat = effective_matrix(sample_environment(UNIFORM, TorusGeometry(2, 2), 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="drift vector must be finite"):
+            mat.quadratic_form([np.nan, 0.0])
+        with pytest.raises(ValueError, match=r"shape \(3,\), expected \(2,\)"):
+            mat.quadratic_form([1.0, 0.0, 0.0])

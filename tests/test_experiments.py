@@ -42,7 +42,7 @@ def test_replica_seed_deterministic_and_distinct():
 
 def test_constant_law_campaign_is_exact():
     cfg = CampaignConfig(DisorderLaw.constant(1.5), 2, (2, 4), replicas=3)
-    study = convergence_study(cfg, run_campaign(cfg))
+    study = convergence_study(run_campaign(cfg))
     for row in study["table"]:
         assert np.allclose(row["mean"], 3.0 * np.eye(2), atol=1e-8)
         assert np.all(row["ci_halfwidth"] <= 1e-8)
@@ -53,7 +53,7 @@ def test_convergence_ci_matches_record_spread():
     cfg = CampaignConfig(DisorderLaw.uniform(0.5, 2.0), 1, (2, 4),
                          replicas=8, master_seed=3)
     records = run_campaign(cfg)
-    study = convergence_study(cfg, records=records)
+    study = convergence_study(records=records)
     for row in study["table"]:
         block = np.stack([r.entries for r in records if r.N == row["N"]])
         sem = block.std(axis=0, ddof=1) / np.sqrt(block.shape[0])
@@ -62,7 +62,7 @@ def test_convergence_ci_matches_record_spread():
 
 def test_concentration_constant_law_degenerate():
     cfg = CampaignConfig(DisorderLaw.constant(1.0), 1, (2, 4), replicas=3)
-    study = concentration_study(cfg, run_campaign(cfg), np.eye(1)[0])
+    study = concentration_study(run_campaign(cfg), np.eye(1)[0])
     for row in study["table"]:
         assert row["std"] <= 1e-10
         assert all(f == 0.0 for f in row["tail_frequency"].values())
@@ -72,7 +72,7 @@ def test_concentration_constant_law_degenerate():
 def test_concentration_tail_monotone_in_epsilon():
     cfg = CampaignConfig(DisorderLaw.uniform(0.5, 2.0), 1, (2,),
                          replicas=16, master_seed=5)
-    study = concentration_study(cfg, run_campaign(cfg), np.eye(1)[0],
+    study = concentration_study(run_campaign(cfg), np.eye(1)[0],
                                 epsilons=(0.01, 0.05, 0.2))
     freqs = list(study["table"][0]["tail_frequency"].values())
     assert freqs == sorted(freqs, reverse=True)
@@ -82,10 +82,38 @@ def test_concentration_reads_the_given_direction():
     cfg = CampaignConfig(DisorderLaw.uniform(0.5, 2.0), 2, (2, 4),
                          replicas=4, master_seed=9)
     records = run_campaign(cfg)
-    study = concentration_study(cfg, records, np.eye(2)[1])
+    study = concentration_study(records, np.eye(2)[1])
     for row in study["table"]:
         assert row["mean"] == np.mean([r.entries[1, 1] for r in records
                                        if r.N == row["N"]])
+
+
+def test_concentration_checks_the_direction():
+    # neither a table of nan nor numpy's matmul error: drift_vector's refusal
+    records = run_campaign(CampaignConfig(DisorderLaw.uniform(0.5, 2.0), 2,
+                                          (1, 2), replicas=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="drift vector must be finite"):
+            concentration_study(records, [np.nan, 0.0])
+        with pytest.raises(ValueError, match=r"drift vector has shape \(3,\), "
+                           r"expected \(2,\)"):
+            concentration_study(records, [1.0, 0.0, 0.0])
+
+
+def test_studies_read_their_sizes_from_their_records():
+    cfg = CampaignConfig(DisorderLaw.uniform(0.5, 2.0), 2, (2, 4),
+                         replicas=3, master_seed=7)
+    records = run_campaign(cfg)
+    part = records[records.N == 4]
+    converge = convergence_study(part)["table"]
+    concentrate = concentration_study(part, np.eye(2)[0])["table"]
+    assert [row["N"] for row in converge] == [4]
+    assert [row["N"] for row in concentrate] == [4]
+    whole = convergence_study(records)["table"]
+    assert [row["N"] for row in whole] == [2, 4]
+    assert np.array_equal(converge[0]["mean"], whole[1]["mean"])
+    assert concentrate == concentration_study(records, np.eye(2)[0])["table"][1:]
 
 
 def test_campaign_csv_reproducible():
@@ -371,6 +399,22 @@ def test_surface_tension_refuses_bad_input_before_descending(monkeypatch):
     assert calls == []
     surface_tension(fld, [1.0, 0.0])   # the count sees a descent
     assert calls
+
+
+def test_surface_tension_refuses_a_tolerance_cg_refuses_before_descending(
+        monkeypatch):
+    # CG's refusal of the tolerance comes before the descent, not after
+    # max_steps steps
+    def refuse(*args):
+        raise AssertionError("the descent stepped before tol was checked")
+
+    monkeypatch.setattr(experiments, "_precondition", refuse)
+    fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 2), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tol in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                surface_tension(fld, [1.0, 0.0], tol=tol)
 
 
 def test_surface_tension_steps_flat_in_n():

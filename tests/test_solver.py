@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from homogenize import solver
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     rng_for, sample_environment)
 from homogenize.operators import grad, local_drift, mean_rho
@@ -66,6 +67,19 @@ def test_resolvent_rejects_nonpositive_lambda():
         solve_resolvent(TWO_SITE, np.zeros(2), 0.0)
     with pytest.raises(ValueError):
         solve_resolvent(TWO_SITE, np.zeros(2), -1.0)
+
+
+def test_resolvent_refuses_nan_lambda_before_iterating(monkeypatch):
+    # NaN fails `lam > 0`: a ValueError, not a ConvergenceError after 0
+    # iterations
+    def refuse(*args, **kwargs):
+        raise AssertionError("CG ran before lam was checked")
+
+    monkeypatch.setattr(solver, "_cg", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="resolvent parameter must be positive"):
+            solve_resolvent(TWO_SITE, np.zeros(2), np.nan)
 
 
 def test_poisson_rejects_nonzero_mean():

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -223,3 +224,17 @@ def test_msd_checks_direction_before_walking(monkeypatch):
     for v in ([1.0, 0.0], [[1.0]], 1.0):
         with pytest.raises(ValueError, match=r"expected \(1,\)"):
             msd_estimate(TWO_SITE, v, 1.0, 10)
+
+
+def test_msd_refuses_a_non_finite_direction_before_walking(monkeypatch):
+    # refused by drift_vector: no walk into (nan, nan) or a matmul warning
+    def refuse(*args, **kwargs):
+        raise AssertionError("walk_batch ran before the direction was checked")
+
+    monkeypatch.setattr(walker, "walk_batch", refuse)
+    fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 2), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in ([np.nan, 0.0], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match="drift vector must be finite"):
+                msd_estimate(fld, v, 5.0, 1000)
