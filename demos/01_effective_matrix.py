@@ -33,7 +33,7 @@ print("\ndiagnostics for the e1 corrector:")
 print(f"orthogonality       {diag['orthogonality_residual']:.3e}")
 print(f"curl residual       {diag['curl_residual']:.3e}")
 print(f"flux divergence     {diag['flux_divergence_residual']:.3e}")
-print(f"L2 bound margin     {diag['l2_bound_margin']:.3e}  (must be >= 0)")
+print(f"certificate         {diag['certificate']:.3e}  (bounds the solve's error in D_00)")
 for p, norm in zip(LP_EXPONENTS, diag["lp_norms"]):
     print(f"gradient L{p} norm   {norm:.4f}")
 

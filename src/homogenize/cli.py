@@ -141,12 +141,18 @@ _TYPES = {"object": dict, "array": list}
 
 
 def _is_type(value, name: str) -> bool:
-    """JSON Schema types: a bool is no number, and 2.0 is an integer."""
+    """JSON Schema types: a bool is no number, and 2.0 is an integer; an
+    integer beyond the double range is no number, as 1e400 is none."""
     if name in _TYPES:
         return isinstance(value, _TYPES[name])
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return name == "number" or isinstance(value, int) or value.is_integer()
+    if name == "integer":
+        return isinstance(value, int) or value.is_integer()
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:   # an integer beyond the double range
+        return False
 
 
 def _json_key(value):
@@ -178,7 +184,7 @@ def _check(value, schema: dict, path: str = "$"):
         fail(f"{value!r} is not of type {schema['type']!r}")
     if "enum" in schema and value not in schema["enum"]:  # string enums only
         fail(f"{value!r} is not one of {schema['enum']!r}")
-    if _is_type(value, "number"):
+    if _is_type(value, "integer") or _is_type(value, "number"):
         if "minimum" in schema and value < schema["minimum"]:
             fail(f"{value!r} is less than the minimum of {schema['minimum']!r}")
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:

@@ -4,11 +4,11 @@ D_N is the Gram matrix 2 sum_k mean((xi w^i)_k w^j_k) of the corrected
 gradients w^j = e_j + grad chi_j, chi_j the corrector; (v, D_N v) is its
 1 x 1 entry over [v] (effective_quadratic), on a basis vector bit for bit
 D_N's diagonal.  identity_residuals checks the finite-volume identities on
-psi = grad chi of solved correctors, one row of the structured dtype
-DIAGNOSTICS per corrector.  Diagnostics and the Gram assembly run once per
-solved stack of correctors, in the layout of operators; each sum adds in a
-lone field's order, so every number is bit for bit that of the field solved
-alone.
+psi = grad chi of solved correctors and bounds each solve's error in
+(v, D_N v), one row of the structured dtype DIAGNOSTICS per corrector.
+Diagnostics and the Gram assembly run once per solved stack of correctors,
+in the layout of operators; each sum adds in a lone field's order, so every
+number is bit for bit that of the field solved alone.
 
 Normalization: the homogeneous medium with rate a has effective matrix
 2a * Identity (the factor-2 convention of the mean-square-displacement
@@ -24,32 +24,30 @@ import numpy as np
 from .environment import BondField, GeometryMismatchError
 from .operators import (drift_vector, grad, local_drift, mean_rho, shift,
                         stack_members)
-from .solver import (DEFAULT_TOL, SolveReport, solve_poisson,
-                     solve_poisson_stream)
+from .solver import (DEFAULT_TOL, SolveReport, _inverse_symbols,
+                     solve_poisson, solve_poisson_stream)
 
 LP_EXPONENTS = (2.0, 2.5, 3.0, 4.0)
 
 
 # The identity diagnostics of one corrector, in the campaign CSV's column order:
 # the gap in sum_i mean(xi_i (psi^i)^2) = -sum_i v_i mean(xi_i psi^i); max
-# |grad_i psi^k - grad_k psi^i| over mixed pairs; max |div*(xi (v + psi))|;
-# c^2 |v|^2 - max_i mean((psi^i)^2), nonnegative in exact arithmetic; the gap
-# between the quadratic and linear forms of (v, D_N v); and the normalized
-# gradient norms (mean |grad chi|^p)^(1/p), one slot per p in LP_EXPONENTS.
+# |grad_i psi^k - grad_k psi^i| over mixed pairs; max |div*(xi (v + psi))|; a
+# bound on the solve's error in (v, D_N v); the quadratic-linear gap of (v,
+# D_N v), twice the first; and the normalized gradient norms (mean |grad
+# chi|^p)^(1/p), one slot per p in LP_EXPONENTS.
 DIAGNOSTICS = np.dtype([
     ("orthogonality_residual", float), ("curl_residual", float),
-    ("flux_divergence_residual", float), ("l2_bound_margin", float),
+    ("flux_divergence_residual", float), ("certificate", float),
     ("quadratic_linear_gap", float), ("lp_norms", float, len(LP_EXPONENTS))])
 
 
 def worst(diags: np.ndarray) -> np.ndarray:
-    """The worst of each diagnostic over the last axis of a (..., d) array of
-    DIAGNOSTICS (a record's basis correctors): the least l2_bound_margin,
-    and the largest of every other residual and of each Lp norm."""
+    """The largest of each diagnostic over the last axis of a (..., d) array
+    of DIAGNOSTICS (a record's basis correctors)."""
     out = np.empty(diags.shape[:-1], DIAGNOSTICS)
     for name in DIAGNOSTICS.names:
-        reduce = np.min if name == "l2_bound_margin" else np.max
-        out[name] = reduce(diags[name], axis=diags.ndim - 1)
+        out[name] = np.max(diags[name], axis=diags.ndim - 1)
     return out
 
 
@@ -92,21 +90,32 @@ def identity_residuals(fields, v, psi: np.ndarray) -> np.ndarray:
             f"expected v of shape (M, d) = {(M, d)} and psi of shape (d, M, "
             f"*grid) = {(d, M) + grid}, got {v.shape} and {psi.shape}")
     xi = stack_members([f.rates for f in fields], d)
+    diags = np.empty(M, DIAGNOSTICS)
     # one component of w = v + psi at a time; sums add from 0, as sum() does
     quad = lin = 0
-    div = np.zeros((M,) + grid)   # div* of the flux xi w
+    div = np.zeros((M,) + grid)   # r = div* of the flux xi w
     for i in range(d):
         w = psi[i] + v[:, i].reshape((M,) + (1,) * d)
         quad += mean_rho(xi[i] * w ** 2, d)
         w *= xi[i]                       # in place: now the flux xi_i w_i
         lin += v[:, i] * mean_rho(w, d)
         div += shift(w, 1, i - d) - w
-    quad, lin = 2.0 * quad, 2.0 * lin
-    flux_div = np.abs(div).reshape(M, -1).max(axis=1)
+    # quad - lin is sum_i mean(xi_i psi^i (v_i + psi^i)), the orthogonality
+    diags["orthogonality_residual"] = np.abs(quad - lin)
+    diags["quadratic_linear_gap"] = 2.0 * diags["orthogonality_residual"]
+    diags["flux_divergence_residual"] = np.abs(div).reshape(M, -1).max(axis=1)
+    # (2c / vol) <r, (-Delta)^+ r> by Parseval on rfftn(r), pass by pass in one
+    # buffer; an interior last-axis column stands for its dropped mirror too
+    power = np.fft.rfft(div, axis=-1)
     del w, div   # the rest reads psi alone
-
-    ortho = np.abs(sum(mean_rho(xi[i] * psi[i] ** 2, d) for i in range(d))
-                   + sum(v[:, i] * mean_rho(xi[i] * psi[i], d) for i in range(d)))
+    for a in range(-2, -d - 1, -1):
+        np.fft.fft(power, axis=a, out=power)
+    power = np.square(power.view(float), out=power.view(float))   # re^2, im^2
+    inv = np.repeat(_inverse_symbols(fields[:1], 0.0, 1.0), 2, axis=-1)
+    inv[..., 2:grid[-1]] *= 2.0
+    diags["certificate"] = np.vecdot(power.reshape(M, -1), inv.reshape(-1)) * [
+        2.0 * f.ellipticity / f.geometry.volume ** 2 for f in fields]
+    del power
 
     curl = np.zeros(M)
     for i in range(d):
@@ -118,25 +127,15 @@ def identity_residuals(fields, v, psi: np.ndarray) -> np.ndarray:
             m -= q
             curl = np.maximum(curl, np.abs(m, out=m).reshape(M, -1).max(axis=1))
             del m, q
-
-    l2 = np.max([mean_rho(psi[i] ** 2, d) for i in range(d)], axis=0)
+    diags["curl_residual"] = curl
 
     speed = psi[0] * psi[0]   # |psi|^2, summed in place
     for i in range(1, d):
         speed += psi[i] * psi[i]
     np.sqrt(speed, out=speed)
-    lp = {p: mean_rho(speed ** p, d) for p in LP_EXPONENTS}
-
-    diags = np.empty(M, DIAGNOSTICS)
-    diags["orthogonality_residual"] = ortho
-    diags["curl_residual"] = curl
-    diags["flux_divergence_residual"] = flux_div
-    diags["l2_bound_margin"] = np.array([fld.ellipticity ** 2 * float(vm @ vm)
-                                         for fld, vm in zip(fields, v)]) - l2
-    diags["quadratic_linear_gap"] = np.abs(quad - lin)
     # a scalar power: ** (1 / p) on the array moves the last digit
-    diags["lp_norms"] = [[lp[p][m] ** (1.0 / p) for p in LP_EXPONENTS]
-                         for m in range(M)]
+    diags["lp_norms"] = np.transpose([[x ** (1.0 / p) for x in mean_rho(
+        speed ** p, d)] for p in LP_EXPONENTS])
     return diags
 
 

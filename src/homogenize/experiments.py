@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .environment import (BondField, DisorderLaw, SizeGuardError,
-                          TorusGeometry, periodize, resample_bonds, rng_for,
-                          sample_environment)
+                          TorusGeometry, guard_sites, periodize,
+                          resample_bonds, rng_for, sample_environment)
 from .operators import div_star, drift_vector, grad, local_drift, mean_rho
 from .diffusivity import (DIAGNOSTICS, corrector, effective_matrices,
                           effective_quadratic, worst)
@@ -86,11 +86,13 @@ def run_campaign(config: CampaignConfig) -> np.recarray:
     sample is a pure function of the replica's seed, so it is drawn again
     at every size; the matrices are computed in stacks of replicas
     (effective_matrices), and only one stack's fields are held at a time.
-    Above MAX_RECORDS records it raises SizeGuardError before any seed.
+    Above MAX_RECORDS records, or MAX_SITES sites on its largest torus, it
+    raises SizeGuardError before any seed or record.
     """
     _guard_records("campaign", config.replicas * len(config.N_list))
     d = config.dimension
     geom = TorusGeometry(d, max(config.N_list))
+    guard_sites(geom)
     seeds = [replica_seed(config.master_seed, r) for r in range(config.replicas)]
     records = np.recarray(len(config.N_list) * len(seeds), [
         ("N", int), ("seed", int), ("entries", float, (d, d)),
@@ -162,7 +164,8 @@ def hamming_sensitivity(fld: BondField, v, perturb_counts, trials: int,
     For each count, resamples that many uniformly chosen bonds from law and
     records (hamming fraction, |delta (v, D_N v)|) pairs; a log-log fit over
     the nonzero pairs gives the reported exponent.  Only the decay to zero
-    is a contract; the true Hoelder exponent is not asserted.  No count, or
+    is a contract; the true Hoelder exponent is not asserted.  certificate_max
+    bounds the solve error of every (v, D_N v) it reads, the baseline's too.  No count, or
     fewer than one trial, raises ValueError, and above MAX_RECORDS pairs it
     raises SizeGuardError, before any trial.
     """
@@ -184,8 +187,10 @@ def hamming_sensitivity(fld: BondField, v, perturb_counts, trials: int,
             yield resample_bonds(fld, bonds, law, seed=int(rng.integers(2 ** 63)))
 
     # the baseline and every perturbed field are solved in stacks
-    quads = np.concatenate([cols["entries"][:, 0, 0] for cols in effective_matrices(
-        itertools.chain([fld], perturbed()), tol, [v])])
+    columns = effective_matrices(itertools.chain([fld], perturbed()), tol, [v])
+    quads, certs = map(np.concatenate, zip(*(
+        (cols["entries"][:, 0, 0], cols["diagnostics"]["certificate"][:, 0])
+        for cols in columns)))
     base = float(quads[0])
     fracs = counts / nbonds
     deltas = np.abs(quads[1:] - base)
@@ -195,7 +200,8 @@ def hamming_sensitivity(fld: BondField, v, perturb_counts, trials: int,
         exponent = float(np.polyfit(np.log(fracs[ok]), np.log(deltas[ok]), 1)[0])
     medians = {int(c): float(np.median(deltas[counts == c])) for c in perturb_counts}
     return {"pairs": list(zip(fracs.tolist(), deltas.tolist())),
-            "medians": medians, "exponent": exponent, "baseline": base}
+            "medians": medians, "exponent": exponent, "baseline": base,
+            "certificate_max": float(certs.max())}
 
 
 def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,

@@ -74,20 +74,21 @@ def _maxiter(fld: BondField, tol: float) -> int:
     return max(1, math.ceil(c * math.log(2.0 * c / tol)))
 
 
-def _inverse_symbols(fields, lam: float) -> np.ndarray:
+def _inverse_symbols(fields, lam: float, a=None) -> np.ndarray:
     """(lam + a (-Delta))^+ of each field as an rfftn symbol, shape (B, *half grid).
 
-    a is the field's geometric-mean rate and -Delta the torus Laplacian, whose
-    symbol is sum_i (2 - 2 cos k_i).  At every lam the zero mode maps to 0, so
-    a preconditioned field is mean-zero.
+    a is each field's geometric-mean rate unless given (a = 1 and lam = 0
+    give (-Delta)^+), -Delta the torus Laplacian, of symbol sum_i (2 - 2 cos
+    k_i).  At every lam the zero mode maps to 0: a field comes out mean-zero.
     """
     geom = fields[0].geometry
     side, d = geom.side, geom.dimension
     w = 4.0 * np.sin(np.pi * np.arange(side) / side) ** 2   # 2 - 2 cos k
     # rfftn keeps the nonnegative frequencies of the last axis only
     laplacian = sum(np.ix_(*([w] * (d - 1) + [w[:side // 2 + 1]])))
-    a = np.array([float(np.exp(np.log(f.rates).mean())) for f in fields])
-    sigma = lam + a.reshape((-1,) + (1,) * d) * laplacian
+    if a is None:
+        a = np.array([float(np.exp(np.log(f.rates).mean())) for f in fields])
+    sigma = lam + np.reshape(a, (-1,) + (1,) * d) * laplacian
     return np.divide(1.0, sigma, out=np.zeros_like(sigma), where=laplacian > 0)
 
 

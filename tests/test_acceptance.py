@@ -14,7 +14,7 @@ from homogenize.diffusivity import (LP_EXPONENTS, corrector, effective_matrix,
                                     effective_quadratic, identity_residuals)
 from homogenize.environment import (DisorderLaw, TorusGeometry,
                                     sample_environment)
-from homogenize.operators import grad
+from homogenize.operators import grad, mean_rho
 from homogenize.experiments import (CampaignConfig, concentration_study,
                                     convergence_study, hamming_sensitivity,
                                     resolvent_convergence, run_campaign,
@@ -94,7 +94,9 @@ def test_criterion_04_identity_suite():
             assert diag["orthogonality_residual"] <= 100 * DEFAULT_TOL * c
             assert diag["curl_residual"] <= 1e-12
             assert diag["flux_divergence_residual"] <= 100 * DEFAULT_TOL * c
-            assert diag["l2_bound_margin"] >= -1e-8
+            # the a-priori L2 bound max_i mean(psi_i^2) <= c^2 |v|^2
+            assert c ** 2 * (v @ v) - max(mean_rho(psi[i] ** 2)
+                                          for i in range(d)) >= -1e-8
             assert diag["quadratic_linear_gap"] <= 100 * DEFAULT_TOL * c
             checked += 1
     assert checked == 200

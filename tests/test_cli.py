@@ -307,6 +307,20 @@ def test_non_finite_and_non_object_configs_are_config_errors(tmp_path):
         load_config(array_root, ["seed=1"])
 
 
+def test_an_integer_beyond_the_double_range_is_no_number(tmp_path):
+    # as 1e400 is refused, so is 10^400 in a number key, array items too; an
+    # integer key still takes it, and a guard or check refuses it later
+    cfg = write_config(tmp_path, base_config())
+    huge = str(10 ** 400)
+    for text in (f"vector=[{huge}, 0]", f"law.params=[{huge}]",
+                 f"solver.tol={huge}", f"walk.t={huge}", f"spectral.n=-{huge}"):
+        with pytest.raises(ConfigError, match="is not of type 'number'"):
+            load_config(cfg, [text])
+    assert load_config(cfg, [f"seed={huge}"])["seed"] == 10 ** 400
+    with pytest.raises(ConfigError, match="less than the minimum of 0"):
+        load_config(cfg, [f"seed=-{huge}"])
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = write_config(tmp_path, base_config(
         law={"kind": "uniform", "params": [0.5, 2.0]}))

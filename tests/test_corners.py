@@ -8,7 +8,10 @@ zero vector and far below 1 to just under the 2^64 scale guard, and the
 contrast of the law, from a constant one to c = 2^63, also just under that
 guard; then the parameters, each through the subcommand that reads it:
 spectral.n, walk.t and resolvent.lambdas from the least positive double to
-their largest, and a loose solver.tol through every subcommand.
+their largest, and a loose solver.tol through every subcommand.  The last
+axis walks cli.CONFIG_SCHEMA: every number and integer key, array items
+included, is set to 10^400 through every subcommand on d = 1, N = 1, and
+each corner exits 0, or exits 2 or 4 and writes nothing.
 """
 
 import contextlib
@@ -20,7 +23,8 @@ import math
 import time
 import warnings
 
-from homogenize.cli import EXIT_GUARD, SUBCOMMANDS, main
+from homogenize.cli import (CONFIG_SCHEMA, EXIT_CONFIG, EXIT_GUARD,
+                            SUBCOMMANDS, main)
 
 SCALES = (0.0, 1e-300, 1e-200, 1e-160, 1e-100, 1.0, 2.0 ** 60)
 LAWS = ({"kind": "uniform", "params": [0.2, 5.0]},
@@ -63,10 +67,10 @@ def non_finite(path):
             if i != 4 and not math.isfinite(float(cell))]
 
 
-def run_corner(tmp_path, corner, config, refusable=False):
+def run_corner(tmp_path, corner, config, refusable=False, refusals=(EXIT_GUARD,)):
     """The failures of one corner: a warning or exception, an exit other than
-    0 (or 4 with nothing written, if refusable), or a missing or non-finite
-    artifact."""
+    0 (or one of refusals with nothing written, if refusable), or a missing
+    or non-finite artifact."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "_".join(map(str, corner))
@@ -78,7 +82,7 @@ def run_corner(tmp_path, corner, config, refusable=False):
     except Exception as exc:   # a warning, or a program bug (exit 1)
         return [(*corner, repr(exc))]
     written = sorted(out.iterdir()) if out.exists() else []
-    if refusable and code == EXIT_GUARD:
+    if refusable and code in refusals:
         return [(*corner, "refused but wrote", written)] if written else []
     if code != 0:
         return [(*corner, code, err.getvalue())]
@@ -128,4 +132,52 @@ def test_parameter_corners_exit_0_or_are_refused(tmp_path):
             count += 1
     elapsed = time.perf_counter() - start
     assert not failures, failures
+    assert elapsed < 3.0, f"{count} corners took {elapsed:.2f} s"
+
+
+def numeric_keys(schema, path=()):
+    """(path, is an array) of every number and integer key of schema."""
+    if schema.get("type") in ("number", "integer"):
+        return [(path, False)]
+    if schema.get("items", {}).get("type") in ("number", "integer"):
+        return [(path, True)]
+    return [key for name, sub in schema.get("properties", {}).items()
+            for key in numeric_keys(sub, path + (name,))]
+
+
+def huge_corners(config):
+    """(dotted key, config) with one number or integer set to 10^400: a
+    scalar key, or each item of an array key in turn ([10^400] if the base
+    config has none)."""
+    huge = 10 ** 400
+    for path, is_array in numeric_keys(CONFIG_SCHEMA):
+        key = ".".join(path)
+        parent = config
+        for name in path[:-1]:
+            parent = parent.get(name, {})
+        items = parent.get(path[-1]) or [None]
+        for i in range(len(items) if is_array else 1):
+            edited = json.loads(json.dumps(config))
+            node = edited
+            for name in path[:-1]:
+                node = node.setdefault(name, {})
+            node[path[-1]] = (items[:i] + [huge] + items[i + 1:]) if is_array else huge
+            yield f"{key}[{i}]" if is_array else key, edited
+
+
+def test_huge_integer_corners_exit_0_or_are_refused(tmp_path):
+    # an integer beyond the double range in any number or integer key, array
+    # items included, through every subcommand: run, or a config or guard
+    # refusal with nothing written
+    corners = list(huge_corners(corner_config(1, 1)))
+    assert {key.split("[")[0] for key, _ in corners} == {
+        ".".join(path) for path, _ in numeric_keys(CONFIG_SCHEMA)}
+    failures = []
+    start = time.perf_counter()
+    for sub, (key, config) in itertools.product(SUBCOMMANDS, corners):
+        failures += run_corner(tmp_path, (sub, key), config, refusable=True,
+                               refusals=(EXIT_CONFIG, EXIT_GUARD))
+    elapsed = time.perf_counter() - start
+    assert not failures, failures
+    count = len(SUBCOMMANDS) * len(corners)
     assert elapsed < 3.0, f"{count} corners took {elapsed:.2f} s"

@@ -11,7 +11,8 @@ from homogenize.diffusivity import (DIAGNOSTICS, corrector, effective_matrices,
                                     identity_residuals, worst)
 from homogenize.environment import (BondField, DisorderLaw, GeometryMismatchError,
                                     TorusGeometry, rng_for, sample_environment)
-from homogenize.operators import grad, mean_rho
+from homogenize.operators import div_star, grad, local_drift, mean_rho
+from homogenize.solver import dense_solve
 from oracles import one_d_exact
 
 TWO_SITE = BondField(TorusGeometry(1, 1), 2.0, np.array([[2.0, 1.0]]))
@@ -227,7 +228,9 @@ def test_identity_residual_thresholds(d, N):
         assert diag["orthogonality_residual"] <= 100 * TOL * vnorm ** 2 * c
         assert diag["curl_residual"] <= 1e-12
         assert diag["flux_divergence_residual"] <= 100 * TOL * c * vnorm
-        assert diag["l2_bound_margin"] >= -1e-8
+        # the a-priori L2 bound max_i mean(psi_i^2) <= c^2 |v|^2
+        assert c ** 2 * (v @ v) - max(mean_rho(psi[i] ** 2)
+                                      for i in range(d)) >= -1e-8
         assert diag["quadratic_linear_gap"] <= 100 * TOL * c * vnorm ** 2
 
 
@@ -255,6 +258,80 @@ def test_stacked_diagnostics_fail_member_by_member():
             if m != bad:
                 assert diag == identity_residuals([flds[m]], v[m:m + 1],
                                                   psi[:, m:m + 1])[0]
+
+
+WIDE = DisorderLaw.uniform(0.2, 5.0)
+
+
+def _quadratic(fld, v, psi):
+    """(v, D_N v) of the corrector gradient psi: 2 sum_i mean(xi_i (v_i + psi_i)^2)."""
+    return 2.0 * sum(mean_rho(fld.rates[i] * (v[i] + psi[i]) ** 2)
+                     for i in range(fld.dimension))
+
+
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 8), (2, 16), (3, 4)])
+def test_certificate_bounds_the_solve_error(d, N):
+    # 0 <= computed (e_j, D_N e_j) - exact <= certificate, the exact value from
+    # the dense oracle's corrector.  At tol 1e-10 the solve error (about
+    # 1e-20) sinks below the rounding of the form itself, so loose tols only.
+    ratios = []
+    for seed in (0, 1):
+        fld = sample_environment(WIDE, TorusGeometry(d, N), seed)
+        exact = [_quadratic(fld, e, grad(dense_solve(fld, local_drift(fld, e))))
+                 for e in np.eye(d)]
+        for tol in (1e-4, 1e-6):
+            mat = effective_matrix(fld, tol=tol)
+            for j in range(d):
+                error = mat.entries[j, j] - exact[j]
+                cert = mat.diagnostics[j]["certificate"]
+                assert 0.0 <= error <= cert, (seed, tol, j, error, cert)
+                ratios.append(cert / error)
+    # a bound, and a tight one: within about an order of magnitude
+    assert max(ratios) < 20.0, max(ratios)
+
+
+def test_certificate_trips_on_a_scaled_corrector():
+    fld = sample_environment(WIDE, TorusGeometry(2, 8), 0)
+    v = np.array([1.0, 0.0])
+    psi = grad(corrector(fld, v, tol=TOL).solution)
+    exact = _quadratic(fld, v, grad(dense_solve(fld, local_drift(fld, v))))
+    solved, = identity_residuals([fld], [v], psi[:, None])
+    scaled, = identity_residuals([fld], [v], 1.1 * psi[:, None])
+    error = _quadratic(fld, v, 1.1 * psi) - exact
+    assert solved["certificate"] <= 1e-18
+    assert 1e-3 <= error <= scaled["certificate"], (error, scaled["certificate"])
+
+
+def test_certificate_is_bit_identical_at_every_stack_width(monkeypatch):
+    from homogenize import solver
+    fields = [sample_environment(WIDE, TorusGeometry(2, 2), seed) for seed in range(64)]
+    certs = {}
+    for width in (1, 4, 64):   # members per stack: 16 sites a member
+        monkeypatch.setattr(solver, "STACK_SITES", 16 * width)
+        certs[width] = np.concatenate([cols["diagnostics"]["certificate"]
+                                       for cols in effective_matrices(fields, 1e-6)])
+    assert certs[1].shape == (64, 2) and (certs[1] > 0).all()
+    assert certs[4].tobytes() == certs[1].tobytes()
+    assert certs[64].tobytes() == certs[1].tobytes()
+
+
+@pytest.mark.parametrize("d,N", [(1, 1), (1, 5), (2, 1), (2, 3), (3, 2)])
+def test_certificate_is_the_parseval_form(d, N):
+    # (2c / vol) <r, (-Delta)^+ r>, r = div*(xi (v + psi)), by a full complex
+    # FFT round trip over the symbol sum_i 4 sin^2(pi k_i / 2N)
+    fld = sample_environment(WIDE, TorusGeometry(d, N), 7)
+    v = rng_for(7, d).normal(size=d)
+    psi = grad(corrector(fld, v, tol=1e-4).solution)
+    diag, = identity_residuals([fld], [v], psi[:, None])
+    r = div_star(fld.rates * (v.reshape((d,) + (1,) * d) + psi))
+    k = np.pi * np.arange(2 * N) / (2 * N)
+    symbol = sum(np.ix_(*[4.0 * np.sin(k) ** 2] * d))
+    spectrum = np.fft.fftn(r)
+    np.divide(spectrum, symbol, out=spectrum, where=symbol > 0)
+    spectrum[(0,) * d] = 0.0
+    form = 2.0 * fld.ellipticity / r.size * float(np.vdot(r, np.fft.ifftn(spectrum).real))
+    assert diag["certificate"] > 0
+    assert abs(diag["certificate"] - form) <= 8 * np.spacing(form)
 
 
 @pytest.mark.parametrize("d,N", [(1, 4), (2, 1)])
@@ -300,8 +377,9 @@ def test_matrix_serialization(tmp_path):
     assert list(diag["lp_norms"]) == ["2.0", "2.5", "3.0", "4.0"]
 
 
-def test_worst_takes_least_margin_and_largest_of_the_rest():
-    # two records of d = 2 correctors each; every row reduces on its own
+def test_worst_takes_the_largest_of_every_diagnostic():
+    # two records of d = 2 correctors each; every row reduces on its own,
+    # every field by max
     diags = np.zeros((2, 2), DIAGNOSTICS)
     diags[0] = [(1e-3, 0.0, 2.0, 5.0, 1.0, (2.0, 2.5, 3.0, 4.0)),
                 (1e-4, 1e-16, 3.0, 4.0, 0.5, (5.0, 4.5, 4.0, 3.0))]
@@ -309,10 +387,12 @@ def test_worst_takes_least_margin_and_largest_of_the_rest():
                 (8.0, 0.0, 0.25, 2.0, 3.0, (9.0, 1.0, 9.0, 1.0))]
     got = worst(diags)
     assert got.shape == (2,) and got.dtype == DIAGNOSTICS
-    assert got[0] == np.array((1e-3, 1e-16, 3.0, 4.0, 1.0, (5.0, 4.5, 4.0, 4.0)),
+    assert got[0] == np.array((1e-3, 1e-16, 3.0, 5.0, 1.0, (5.0, 4.5, 4.0, 4.0)),
                               DIAGNOSTICS)
-    assert got[1] == np.array((8.0, 1.0, 0.5, -1.0, 3.0, (9.0, 9.0, 9.0, 9.0)),
+    assert got[1] == np.array((8.0, 1.0, 0.5, 2.0, 3.0, (9.0, 9.0, 9.0, 9.0)),
                               DIAGNOSTICS)
+    for name in DIAGNOSTICS.names:
+        assert np.array_equal(got[name], diags[name].max(axis=1))
 
 
 def test_quadratic_form_refuses_what_drift_vector_refuses():

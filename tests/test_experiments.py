@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from homogenize.cli import config_hash, records_to_csv, run
-from homogenize.diffusivity import effective_matrix, worst
+from homogenize.diffusivity import DIAGNOSTICS, effective_matrix, worst
 from homogenize import experiments
 from homogenize.environment import (BondField, DisorderLaw, SizeGuardError,
                                     TorusGeometry, periodize, sample_environment)
@@ -126,7 +126,7 @@ def test_campaign_csv_reproducible():
     assert csv1.splitlines()[0].split(",") == [
         "seed", "d", "N", "c", "law", "D_00", "D_01", "D_10", "D_11",
         "asymmetry", "orthogonality_residual", "curl_residual",
-        "flux_divergence_residual", "l2_bound_margin", "quadratic_linear_gap",
+        "flux_divergence_residual", "certificate", "quadratic_linear_gap",
         "lp_2.0", "lp_2.5", "lp_3.0", "lp_4.0", "iterations"]
     assert len(csv1.splitlines()) == 1 + 2 * 3
 
@@ -233,6 +233,16 @@ def test_record_guards_refuse_before_any_seed(monkeypatch):
         hamming_sensitivity(fld, np.eye(2)[0], (1, 2), trials=4, law=law)
 
 
+def test_site_guard_refuses_a_campaign_before_any_record(monkeypatch):
+    # N = 10^400 is past int64 as well as the site guard: the guard on the
+    # largest torus refuses it before a record or a seed is built
+    law = DisorderLaw.uniform(0.5, 2.0)
+    monkeypatch.setattr(experiments, "replica_seed", None)   # never reached
+    for n_list in ((2, 2 ** 63 - 1), (10 ** 400,)):
+        with pytest.raises(SizeGuardError, match="site guard"):
+            run_campaign(CampaignConfig(law, 1, n_list, replicas=2))
+
+
 def test_campaign_streams_replicas(monkeypatch):
     from homogenize import solver
     law = DisorderLaw.uniform(0.5, 2.0)
@@ -277,10 +287,11 @@ def test_hamming_medians_group_by_exact_count(monkeypatch):
     geom = TorusGeometry(2, 256)
     ones = BondField(geom, 2.0, np.ones((2,) + geom.grid_shape))
     # stand-in for D_N^{11}: the rate sum, which each resampled bond raises by
-    # 1, as the 1 x 1 entries of one field per stack
+    # 1, as the 1 x 1 entries of one field per stack, with zero diagnostics
     monkeypatch.setattr(experiments, "effective_matrices",
                         lambda fields, tol, directions: (
-                            {"entries": np.full((1, 1, 1), float(f.rates.sum()))}
+                            {"entries": np.full((1, 1, 1), float(f.rates.sum())),
+                             "diagnostics": np.zeros((1, 1), DIAGNOSTICS)}
                             for f in fields))
     out = hamming_sensitivity(ones, np.eye(2)[0], (100_000, 100_001), trials=1,
                               law=DisorderLaw.constant(2.0))
@@ -292,6 +303,28 @@ def test_hamming_reads_the_given_direction():
     fld = sample_environment(law, TorusGeometry(2, 3), 21)
     out = hamming_sensitivity(fld, np.eye(2)[1], (1,), trials=2, law=law)
     assert abs(out["baseline"] - effective_matrix(fld).entries[1, 1]) <= 1e-8
+
+
+def test_hamming_reports_its_largest_certificate(monkeypatch):
+    # the largest certificate of the 1 x 1 Gram entries it reads: the
+    # baseline's, on e_2 bit for bit D_N's own, and every perturbed field's
+    law = DisorderLaw.uniform(0.5, 2.0)
+    fld = sample_environment(law, TorusGeometry(2, 3), 21)
+    seen = []
+    real = experiments.effective_matrices
+
+    def recording(fields, tol, directions):
+        for cols in real(fields, tol, directions):
+            seen.append(cols["diagnostics"]["certificate"])
+            yield cols
+
+    monkeypatch.setattr(experiments, "effective_matrices", recording)
+    out = hamming_sensitivity(fld, np.eye(2)[1], (1, 4), trials=3, law=law,
+                              tol=1e-4, seed=5)
+    certs = np.concatenate(seen)
+    assert certs.shape == (7, 1) and (certs > 0).all()
+    assert certs[0, 0] == effective_matrix(fld, tol=1e-4).diagnostics[1]["certificate"]
+    assert out["certificate_max"] == certs.max()
 
 
 def test_hamming_requires_law():
