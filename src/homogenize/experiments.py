@@ -210,7 +210,9 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
 
     The energy  mean over sites of sum_i xi_i (v_i + grad_i f)^2  is
     minimized by Laplacian-preconditioned Barzilai-Borwein descent along
-    z = P g, P the symbol CG uses (mean removed every step).  It stays
+    z = P g, P = (a (-Delta))^+ the torus Laplacian's symbol at the
+    geometric-mean rate a, without CG's local correction (mean removed
+    every step).  It stays
     independent of CG: the energy, its gradient and the stop rule
     ||g|| <= tol ||g_0|| come from grad and div_star alone, so a wrong P
     can only slow or stall the descent, never move the minimizer.  Returns

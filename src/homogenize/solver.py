@@ -1,18 +1,26 @@
 """Matrix-free solvers for -L u = g and (lam - L) u = g, plus a dense oracle.
 
-Both problems are solved by conjugate gradients preconditioned with the
-torus Laplacian: with rates in [1/c, c] and a their geometric mean, -L is
-spectrally equivalent to a (-Delta) with condition number at most c^2 on
-every torus, and -Delta is diagonal in the DFT basis, so one FFT round trip
-applies the preconditioner and the iteration count does not grow with N.
-The iteration cap follows from c and tol alone.  Both problems are solved
-on the zero-mean subspace: the preconditioner drops the zero mode, and the
-iterate and residual are re-projected (mean subtracted) every iteration to
-cure kernel drift from rounding.  A constant c on the right has the exact
-solution c / lam, and a mean within 1e-12 ||g|| of zero is dropped.  The
-stopping rule is on the unpreconditioned residual, ||r|| <= tol ||g||.
-Each right side runs in units of 2^e <= max |g| < 2^(e+1), an exact
-division, so 2^k g is solved as exactly 2^k times g's solution at any k.
+Both problems are solved by preconditioned conjugate gradients.  With rates
+in [1/c, c] and a their geometric mean, -L is spectrally equivalent to
+a (-Delta) with condition number at most c^2 on every torus, and -Delta is
+diagonal in the DFT basis, so one FFT round trip applies P = (lam +
+a (-Delta))^+ and the iteration count does not grow with N.  CG's
+preconditioner is M = P + diag(h), with the site field h = (1 / (lam + D) -
+1 / (lam + 4 d a))_+ and D the diagonal of -L.  The Laplacian symbol is at
+most 4d, so 1 / (lam + 4 d a) is P's least eigenvalue on the zero-mean
+subspace, and h adds the local inverse only at sites slower than the
+reference medium's stiffest mode; M >= P, so M is SPD there by
+construction.  The iteration cap follows from c and tol alone.  Both
+problems are solved on the zero-mean subspace: P drops the zero mode, and
+the iterate, the residual and M's output are re-projected (mean
+subtracted) every iteration to cure kernel drift from rounding.  A
+constant right side k has the exact solution k / lam, and a mean within
+1e-12 ||g|| of zero is dropped.  The stop is on the true residual: ||g +
+L u - lam u|| <= tol ||g||.  It is formed anew wherever the updated
+residual meets tol; CG restarts from it if it does not, and raises
+ConvergenceError once a check no longer lowers it.  Each right side runs
+in units of 2^e <= max |g| < 2^(e+1), an exact division, so 2^k g is
+solved as exactly 2^k times g's solution at any k.
 
 There is one CG path, and it solves a stack of members, each a (field,
 right side) pair on one torus: the FFT runs over the trailing grid axes,
@@ -34,7 +42,7 @@ import numpy as np
 
 from .environment import (BondField, GeometryMismatchError, SizeGuardError,
                           move_table)
-from .operators import generator, mean_rho, stack_members
+from .operators import generator, mean_rho, shift, stack_members
 
 DEFAULT_TOL = 1e-10
 DENSE_GUARD = 4096
@@ -46,8 +54,9 @@ STACK_SITES = 2 ** 13
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration cap reached, or no finite CG step left; carries the worst
-    failed member's last relative residual and its iterations."""
+    """Iteration cap reached, no finite CG step left, or a true residual
+    that no longer falls; carries the worst failed member's true relative
+    residual and the iterations."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -68,10 +77,32 @@ def _maxiter(fld: BondField, tol: float) -> int:
     The preconditioned operator has condition number kappa <= c^2 on every
     torus, so CG needs about 0.5 sqrt(kappa) ln(2 sqrt(kappa) / tol)
     iterations; the cap is twice that (at least one) and does not depend
-    on N.
+    on N.  It is c (ln 2c - ln tol), which stays finite at every c and tol.
     """
     c = fld.ellipticity
-    return max(1, math.ceil(c * math.log(2.0 * c / tol)))
+    return max(1, math.ceil(c * (math.log(2.0 * c) - math.log(tol))))
+
+
+def _rate_scale(fields) -> np.ndarray:
+    """The geometric-mean rate a of each field, the scale of its symbol."""
+    return np.array([float(np.exp(np.log(f.rates).mean())) for f in fields])
+
+
+def _local_correction(xi: np.ndarray, lam: float, a: np.ndarray) -> np.ndarray:
+    """h of M = P + diag(h), shape (B, *grid), for rates xi of shape (d, B, *grid).
+
+    h = (1 / (lam + D) - 1 / (lam + 4 d a))_+ with D(x) = sum_i xi_i(x) +
+    xi_i(x - e_i) the diagonal of -L.  It is kept in float32: rounding a
+    nonnegative h keeps M SPD.
+    """
+    d = len(xi)
+    h = xi.sum(axis=0)
+    for i in range(d):
+        h += shift(xi[i], 1, i - d)
+    h += lam
+    np.reciprocal(h, out=h)
+    h -= (1.0 / (lam + 4.0 * d * a)).reshape((-1,) + (1,) * d)
+    return np.maximum(h, 0.0, out=h).astype(np.float32)
 
 
 def _inverse_symbols(fields, lam: float, a=None) -> np.ndarray:
@@ -87,7 +118,7 @@ def _inverse_symbols(fields, lam: float, a=None) -> np.ndarray:
     # rfftn keeps the nonnegative frequencies of the last axis only
     laplacian = sum(np.ix_(*([w] * (d - 1) + [w[:side // 2 + 1]])))
     if a is None:
-        a = np.array([float(np.exp(np.log(f.rates).mean())) for f in fields])
+        a = _rate_scale(fields)
     sigma = lam + np.reshape(a, (-1,) + (1,) * d) * laplacian
     return np.divide(1.0, sigma, out=np.zeros_like(sigma), where=laplacian > 0)
 
@@ -110,12 +141,19 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
     b stacks the right sides, shape (B, *grid).  Every member runs the
     one-field recurrence with its own alpha, beta, stop test, cap and mean
     re-projection; dots and means reduce each member's row alone, so its
-    iterates are those of a solve on its own.  At the top of the loop a
+    iterates are those of a solve on its own.  The preconditioner is M = P +
+    diag(h) of the module docstring, z = P r + h r re-projected to mean
+    zero, and h is sliced with P's symbol as members drop out.
+    Where a member's updated residual meets tol, its true residual b / unit
+    + L x - lam x is formed in r's buffer; the member is done if that meets
+    tol too, else CG restarts from it (p = 0), and a check that does not
+    lower the last one raises ConvergenceError.  At the top of the loop a
     member is written out (a view of the live iterate, no copy; a constant
     one at k = 0) and dropped from the live set.  CG solves for each right
     side's mean-zero part, in the member's unit, and a mean adds mean / lam;
     lam = 0 is the singular Poisson problem, where every right side must be
-    orthogonal to constants.  Returns one SolveReport per member.
+    orthogonal to constants.  Returns one SolveReport per member, whose
+    residual_norm is the true residual.
     """
     if not tol > 0:
         raise ValueError(f"solver tolerance must be positive, got {tol}")
@@ -150,11 +188,39 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
         const = np.divide(mean * unit, lam, out=np.zeros_like(mean), where=off)
     center(r)
     reports, live = [None] * len(b), np.arange(len(b))
-    caps = np.array([_maxiter(f, tol) for f in fields])
+    caps = np.array([_maxiter(f, tol) for f in fields], dtype=float)
     xi = stack_members([f.rates for f in fields], d)
-    inv = _inverse_symbols(fields, lam)
+    scale = _rate_scale(fields)
+    inv = _inverse_symbols(fields, lam, scale)
+    local = _local_correction(xi, lam, scale)
     x, p, rz = np.zeros_like(r), np.zeros_like(r), np.ones(len(r))
     res = np.sqrt(dot(r, r))
+    checked = np.full(len(r), np.inf)   # each member's last true residual
+
+    def true_residual(sel):
+        """Overwrite r by the true residual b / unit + L x - lam x of the live
+        members sel, on views when sel is all of them, and return its norms."""
+        if sel.all():
+            rows, xs, xis = r, x, xi
+            np.divide(b if len(live) == len(b) else b[live],
+                      unit[live].reshape(col), out=r)
+        else:
+            rows = b[live[sel]] / unit[live[sel]].reshape(col)
+            xs, xis = x[sel], xi[:, sel]
+        rows += generator(xis, xs)
+        if lam:
+            rows -= lam * xs
+        center(rows)
+        if rows is not r:
+            r[sel] = rows
+        return np.sqrt(dot(rows, rows))
+
+    def stop(sel, k, true):
+        worst = float((true / normb[sel]).max())
+        raise ConvergenceError(
+            f"CG stopped short of tol {tol} after {k} iterations "
+            f"(true relative residual {worst:.3e})", worst, k)
+
     # a right side with no mean-zero part is solved by its constant; it
     # centers to a constant, 0 or the rounding of its mean
     done = np.ptp(r.reshape(len(r), -1), axis=1) == 0
@@ -170,12 +236,15 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
                 reports[i] = SolveReport(x[j], k, float(res[j] * unit[i]))
             if done.all():
                 return reports
-            live, x, r, p, rz, res, normb, caps, inv = (
-                a[~done] for a in (live, x, r, p, rz, res, normb, caps, inv))
+            live, x, r, p, rz, res, normb, caps, inv, local, checked = (
+                a[~done] for a in (live, x, r, p, rz, res, normb, caps, inv,
+                                   local, checked))
             xi = xi[:, ~done]
         z = _precondition(r, inv, axes)
+        z += local * r
+        center(z)
         rz_new = dot(r, z)
-        p *= (rz_new / rz).reshape(col)   # p = 0 and rz = 1 at k = 0: p is z
+        p *= (rz_new / rz).reshape(col)   # p = 0 and rz = 1 at a (re)start: p is z
         p += z
         del z
         rz = rz_new
@@ -190,10 +259,8 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
                           where=(rz > 0) & (pap > 0))
         failed = (caps <= k) | ~np.isfinite(alpha)
         if failed.any():
-            worst = float((res[failed] / normb[failed]).max())
-            raise ConvergenceError(
-                f"CG stopped short of tol {tol} after {k} iterations "
-                f"(last relative residual {worst:.3e})", worst, k)
+            del ap
+            stop(failed, k, true_residual(failed))
         alpha = alpha.reshape(col)
         x += alpha * p
         r -= alpha * ap
@@ -202,6 +269,16 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
         center(r)
         res = np.sqrt(dot(r, r))
         done = res <= tol * normb
+        if done.any():
+            # the updated residual drifts from the true one at tight tol
+            res[done] = true = true_residual(done)
+            if not (true < checked[done]).all():
+                stop(done, k + 1, true)
+            checked[done] = true
+            restart = np.flatnonzero(done)[~(true <= tol * normb[done])]
+            done[restart] = False
+            p[restart] = 0.0
+            rz[restart] = 1.0
 
 
 def solve_poisson(fld: BondField, g: np.ndarray, tol: float = DEFAULT_TOL

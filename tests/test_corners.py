@@ -11,7 +11,11 @@ spectral.n, walk.t and resolvent.lambdas from the least positive double to
 their largest, and a loose solver.tol through every subcommand.  The last
 axis walks cli.CONFIG_SCHEMA: every number and integer key, array items
 included, is set to 10^400 through every subcommand on d = 1, N = 1, and
-each corner exits 0, or exits 2 or 4 and writes nothing.
+each corner exits 0, or exits 2 or 4 and writes nothing.  The tight-tol axis
+runs every subcommand that solves: at tol 1e-300 on two_point(1e-12, 1, 0.5)
+each exits 3 and writes nothing, and at tol 1e-16 on uniform[0.2, 5] each
+exits 0 or 3; a library solve at such a tol meets it in the true residual,
+recomputed here from its solution, or raises ConvergenceError.
 """
 
 import contextlib
@@ -23,8 +27,13 @@ import math
 import time
 import warnings
 
+import numpy as np
+
 from homogenize.cli import (CONFIG_SCHEMA, EXIT_CONFIG, EXIT_GUARD,
-                            SUBCOMMANDS, main)
+                            EXIT_SOLVER, SUBCOMMANDS, main)
+from homogenize.environment import DisorderLaw, TorusGeometry, sample_environment
+from homogenize.operators import generator, local_drift, mean_rho
+from homogenize.solver import ConvergenceError, solve_poisson, solve_resolvent
 
 SCALES = (0.0, 1e-300, 1e-200, 1e-160, 1e-100, 1.0, 2.0 ** 60)
 LAWS = ({"kind": "uniform", "params": [0.2, 5.0]},
@@ -67,10 +76,11 @@ def non_finite(path):
             if i != 4 and not math.isfinite(float(cell))]
 
 
-def run_corner(tmp_path, corner, config, refusable=False, refusals=(EXIT_GUARD,)):
+def run_corner(tmp_path, corner, config, refusable=False, refusals=(EXIT_GUARD,),
+               success=True):
     """The failures of one corner: a warning or exception, an exit other than
-    0 (or one of refusals with nothing written, if refusable), or a missing
-    or non-finite artifact."""
+    0 (or one of refusals with nothing written, if refusable; only a refusal
+    without success), or a missing or non-finite artifact."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "_".join(map(str, corner))
@@ -84,7 +94,7 @@ def run_corner(tmp_path, corner, config, refusable=False, refusals=(EXIT_GUARD,)
     written = sorted(out.iterdir()) if out.exists() else []
     if refusable and code in refusals:
         return [(*corner, "refused but wrote", written)] if written else []
-    if code != 0:
+    if code != 0 or not success:
         return [(*corner, code, err.getvalue())]
     if not written:
         return [(*corner, "no artifact")]
@@ -181,3 +191,64 @@ def test_huge_integer_corners_exit_0_or_are_refused(tmp_path):
     assert not failures, failures
     count = len(SUBCOMMANDS) * len(corners)
     assert elapsed < 3.0, f"{count} corners took {elapsed:.2f} s"
+
+
+SOLVING = [sub for sub in SUBCOMMANDS if sub not in ("walk", "spectral")]
+
+
+def test_tight_tolerance_corners_exit_3_or_converge(tmp_path):
+    # tol 1e-300 at c = 1e12 once overflowed the iteration cap (exit 1); tol
+    # 1e-16 claimed convergence on the updated residual, and surface-tension
+    # ran its 100,000 descent steps (about 8 s) into exit 3
+    stalled = {"kind": "two_point", "params": [1e-12, 1.0, 0.5]}
+    failures = []
+    start = time.perf_counter()
+    for sub in SOLVING:
+        config = corner_config(2, 1, law=stalled)
+        config["solver"] = {"tol": 1e-300}
+        failures += run_corner(tmp_path, (sub, 2, 1, "1e-300"), config,
+                               refusable=True, refusals=(EXIT_SOLVER,),
+                               success=False)
+    count = len(SOLVING)
+    for sub, (d, N) in itertools.product(SOLVING, TORI + [(2, 8)]):
+        config = corner_config(d, N, law={"kind": "uniform", "params": [0.2, 5.0]})
+        config["solver"] = {"tol": 1e-16}
+        failures += run_corner(tmp_path, (sub, d, N, "1e-16"), config,
+                               refusable=True, refusals=(EXIT_SOLVER,))
+        count += 1
+    elapsed = time.perf_counter() - start
+    assert not failures, failures
+    assert elapsed < 3.0, f"{count} corners took {elapsed:.2f} s"
+
+
+def test_tight_tolerance_solves_meet_tol_in_the_true_residual_or_raise():
+    # the residual is recomputed from the solution as CG defines it: in the
+    # right side's power-of-two unit, on the zero-mean subspace
+    law = DisorderLaw.uniform(0.2, 5.0)
+    outcomes = {"met": 0, "raised": 0}
+    failures = []
+    start = time.perf_counter()
+    for (d, N), lam, tol, seed in itertools.product(
+            TORI + [(1, 8), (2, 8), (3, 4)], (0.0, 1e-3, 1.0),
+            (1e-14, 1e-15, 1e-16), (0, 1)):
+        fld = sample_environment(law, TorusGeometry(d, N), seed)
+        g = local_drift(fld, np.eye(d)[0])
+        try:
+            rep = (solve_resolvent(fld, g, lam, tol) if lam else
+                   solve_poisson(fld, g, tol))
+        except ConvergenceError:
+            outcomes["raised"] += 1
+            continue
+        outcomes["met"] += 1
+        unit = np.ldexp(0.5, np.frexp(np.abs(g).max())[1])
+        x = rep.solution / unit
+        r = g / unit + generator(fld.rates, x) - lam * x
+        r -= mean_rho(r, d)
+        relative = np.sqrt(np.vdot(r, r)) / np.linalg.norm(g / unit)
+        if not relative <= tol:
+            failures.append((d, N, lam, tol, seed, relative))
+    elapsed = time.perf_counter() - start
+    assert not failures, failures
+    # both outcomes occur: tol 1e-16 sits at the rounding floor
+    assert outcomes["met"] and outcomes["raised"], outcomes
+    assert elapsed < 3.0, f"{sum(outcomes.values())} solves took {elapsed:.2f} s"

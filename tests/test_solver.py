@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import tracemalloc
 import warnings
 import weakref
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from homogenize import solver
+from homogenize.diffusivity import effective_matrix
 from homogenize.environment import (BondField, DisorderLaw, TorusGeometry,
                                     rng_for, sample_environment)
 from homogenize.operators import grad, local_drift, mean_rho
@@ -129,6 +131,30 @@ def test_iterations_flat_in_n(law, tori):
     assert len(caps) == 1
 
 
+# effective_matrix iterations summed over the d correctors at seeds 0 and 1
+# with P alone (h = 0), and the share of them M = P + diag(h) may take: h is
+# positive at nearly every site of a uniform law, and on a two-point law only
+# where a site's 2d bonds are all weak (1/4^d of the sites)
+PLAIN_P_ITERATIONS = [
+    (DisorderLaw.uniform(0.2, 5.0), 3, 24, (93, 97), 0.7),
+    (DisorderLaw.uniform(0.2, 5.0), 2, 128, (77, 74), 0.8),
+    (DisorderLaw.uniform(0.2, 5.0), 2, 16, (60, 60), 1.0),
+    (DisorderLaw.uniform(1e-3, 1e3), 2, 32, (82, 78), 1.0),
+    (DisorderLaw.two_point(1e-4, 1.0, 0.5), 2, 16, (372, 371), 1.0),
+    (DisorderLaw.two_point(1e-2, 1.0, 0.5), 2, 16, (204, 203), 1.0),
+    (DisorderLaw.two_point(1e-6, 1.0, 0.5), 3, 8, (256, 239), 1.0),
+]
+
+
+@pytest.mark.parametrize("law,d,N,plain,share", PLAIN_P_ITERATIONS,
+                         ids=lambda v: getattr(v, "kind", None))
+def test_local_correction_cuts_iterations(law, d, N, plain, share):
+    # iteration counts do not depend on the hardware
+    for seed, count in enumerate(plain):
+        fld = sample_environment(law, TorusGeometry(d, N), seed)
+        assert effective_matrix(fld).iterations <= share * count
+
+
 def test_dense_operator_symmetric_exactly():
     fld, _ = random_instance(2, 2, 7)
     mat = dense_operator(fld)
@@ -156,15 +182,25 @@ def test_iteration_cap_raises(monkeypatch):
     assert residuals[1] == pytest.approx(residuals[0], rel=1e-9)
 
 
+def test_iteration_cap_is_finite_at_every_contrast_and_tol():
+    # 2c / tol overflowed to inf at tol 1e-300 and c = 1e12 (OverflowError)
+    for c, tol in itertools.product((1.0, 1e12, 2.0 ** 63), (1e-10, 1e-300, 5e-324)):
+        fld = BondField(TorusGeometry(1, 1), c, np.array([[c, 1.0]]))
+        cap = _maxiter(fld, tol)
+        assert isinstance(cap, int) and 1 <= cap <= c * (math.log(2 * c) + 745) + 1
+
+
 def test_breakdown_raises_at_once_with_a_finite_residual():
-    # at tol 1e-300 the residual falls until r.z underflows; CG then has no
-    # finite step left and stops there, not at the cap with a nan residual
+    # at tol 1e-300 the updated residual falls until r.z underflows, far
+    # below the true one; CG stops once no finite step is left or the true
+    # residual no longer falls, not at the cap with a nan residual, and it
+    # reports the true residual, at the rounding floor
     fld = sample_environment(DisorderLaw.uniform(0.2, 5.0), TorusGeometry(2, 2), 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="stopped short") as exc:
             solve_poisson(fld, local_drift(fld, [1.0, 0.0]), tol=1e-300)
-    assert np.isfinite(exc.value.residual) and 0 < exc.value.residual < 1e-100
+    assert 1e-18 < exc.value.residual < 1e-14
     assert exc.value.iterations < _maxiter(fld, 1e-300) // 10
 
 
