@@ -21,7 +21,7 @@ law = DisorderLaw.uniform(0.5, 2.0)
 fld = sample_environment(law, TorusGeometry(2, 4), seed=3001)
 v = np.array([1.0, 0.0])
 
-sigma, quarter, gap = surface_tension(fld, v)
+sigma, quarter, gap, _ = surface_tension(fld, v)
 print(f"surface tension sigma_N = {sigma:.8f}")
 print(f"quarter form  (D_N v,v)/4 = {quarter:.8f}   gap {gap:.2e}")
 

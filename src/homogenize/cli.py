@@ -433,9 +433,10 @@ def run(subcommand: str, config: dict, outdir: Path) -> list[Path]:
 
     elif subcommand == "surface-tension":
         max_steps = config.get("surface", {}).get("max_steps", DEFAULT_MAX_STEPS)
-        sigma, quarter, residual = surface_tension(fld, v, tol=tol,
-                                                   max_steps=max_steps)
-        payload = {"sigma": sigma, "quarter_form": quarter, "residual": residual}
+        sigma, quarter, residual, certificate = surface_tension(
+            fld, v, tol=tol, max_steps=max_steps)
+        payload = {"sigma": sigma, "quarter_form": quarter, "residual": residual,
+                   "certificate": certificate}
 
     elif subcommand == "resolvent":
         lambdas = config.get("resolvent", {}).get("lambdas", [1.0, 0.1, 0.01, 0.001])

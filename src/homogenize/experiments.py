@@ -21,8 +21,7 @@ from .environment import (BondField, DisorderLaw, SizeGuardError,
                           TorusGeometry, guard_sites, periodize,
                           resample_bonds, rng_for, sample_environment)
 from .operators import div_star, drift_vector, grad, local_drift, mean_rho
-from .diffusivity import (DIAGNOSTICS, corrector, effective_matrices,
-                          effective_quadratic, worst)
+from .diffusivity import DIAGNOSTICS, corrector, effective_matrices, worst
 from .solver import (DEFAULT_TOL, ConvergenceError, _inverse_symbols,
                      _precondition, solve_resolvent)
 
@@ -61,6 +60,12 @@ MAX_RECORDS = 2 ** 19
 # Defaults of concentration_study and surface_tension, which the CLI shares.
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2)
 DEFAULT_MAX_STEPS = 100_000
+# Steps the surface-tension descent may go without a new least gradient
+# before it stops as stalled.  Converging descents went at most 35 steps
+# without one (d = 1 to 3, N = 1 to 64, tol 1e-10 to 1e-16, uniform[0.2, 5],
+# uniform[1e-3, 1e3] and two_point(1e-4 | 1e-6, 1, 0.5)); a descent at the
+# rounding floor never found one again.
+STALL_STEPS = 200
 
 
 def _guard_records(kind: str, count: int) -> None:
@@ -205,7 +210,8 @@ def hamming_sensitivity(fld: BondField, v, perturb_counts, trials: int,
 
 
 def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
-                    max_steps: int = DEFAULT_MAX_STEPS) -> tuple[float, float, float]:
+                    max_steps: int = DEFAULT_MAX_STEPS
+                    ) -> tuple[float, float, float, float]:
     """Tilting free energy per site, and its quarter-form cross-check.
 
     The energy  mean over sites of sum_i xi_i (v_i + grad_i f)^2  is
@@ -216,8 +222,12 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
     independent of CG: the energy, its gradient and the stop rule
     ||g|| <= tol ||g_0|| come from grad and div_star alone, so a wrong P
     can only slow or stall the descent, never move the minimizer.  Returns
-    (sigma, quarter_form, |sigma - quarter_form|), each for v in CG's unit
-    and scaled back by its square.  If max_steps steps fall short, the
+    (sigma, quarter_form, |sigma - quarter_form|, certificate), each for v
+    in CG's unit and scaled back by its square.  The quarter form is
+    (v, D_N v) / 4 from the 1 x 1 Gram matrix of effective_matrices, and
+    certificate is a quarter of that corrector's certificate: the quarter
+    form's solve error lies in [0, certificate].  If max_steps steps fall
+    short, or STALL_STEPS steps in a row find no new least gradient, the
     ConvergenceError carries the final gradient norm relative to the first.
     The quarter form comes first, so a v that drift_vector refuses, a tol
     CG refuses, or max_steps < 1 raises ValueError before the first step.
@@ -227,7 +237,10 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     unit = np.ldexp(0.5, np.frexp(np.abs(v).max())[1])
     v = v / unit
-    quarter = 0.25 * effective_quadratic(fld, v, tol=tol) * unit * unit
+    columns = next(effective_matrices([fld], tol, [v]))
+    quarter = 0.25 * float(columns["entries"][0, 0, 0]) * unit * unit
+    certificate = (0.25 * float(columns["diagnostics"]["certificate"][0, 0])
+                   * unit * unit)
     xi = fld.rates
     d = fld.dimension
     vol = fld.geometry.volume
@@ -241,12 +254,11 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
 
     f = np.zeros(fld.geometry.grid_shape)
     g = gradient(f)
-    gnorm = g0norm = np.linalg.norm(g)
+    gnorm = g0norm = best = np.linalg.norm(g)
     gtol = tol * g0norm
     f_prev = g_prev = z = None
-    for _ in range(max_steps):
-        if gnorm <= gtol:
-            break
+    steps = stalled = 0   # steps taken, and steps since the least gradient
+    while gnorm > gtol and steps < max_steps and stalled < STALL_STEPS:
         z, z_prev = _precondition(g, inv, axes), z
         # BB2 along z, with P y = z - z_prev (no second FFT round trip); an
         # exact line search on the first step and wherever <y, P y> <= 0
@@ -261,13 +273,16 @@ def surface_tension(fld: BondField, v, tol: float = DEFAULT_TOL,
         f -= f.mean()
         g = gradient(f)
         gnorm = np.linalg.norm(g)
+        steps += 1
+        best, stalled = (gnorm, 0) if gnorm < best else (best, stalled + 1)
     if gnorm > gtol:
-        raise ConvergenceError(f"descent exhausted {max_steps} steps",
-                               residual=float(gnorm / g0norm),
-                               iterations=max_steps)
+        why = (f"exhausted {max_steps} steps" if stalled < STALL_STEPS else
+               f"stalled: no new least gradient in {STALL_STEPS} steps")
+        raise ConvergenceError(f"descent {why}", residual=float(gnorm / g0norm),
+                               iterations=steps)
     w = vgrid + grad(f)
     sigma = 0.5 * (float(np.sum(xi * w * w)) / vol) * unit * unit
-    return sigma, quarter, abs(sigma - quarter)
+    return sigma, quarter, abs(sigma - quarter), certificate
 
 
 def resolvent_convergence(fld: BondField, v, lam_list,

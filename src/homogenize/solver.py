@@ -3,17 +3,25 @@
 Both problems are solved by preconditioned conjugate gradients.  With rates
 in [1/c, c] and a their geometric mean, -L is spectrally equivalent to
 a (-Delta) with condition number at most c^2 on every torus, and -Delta is
-diagonal in the DFT basis, so one FFT round trip applies P = (lam +
-a (-Delta))^+ and the iteration count does not grow with N.  CG's
-preconditioner is M = P + diag(h), with the site field h = (1 / (lam + D) -
-1 / (lam + 4 d a))_+ and D the diagonal of -L.  The Laplacian symbol is at
-most 4d, so 1 / (lam + 4 d a) is P's least eigenvalue on the zero-mean
-subspace, and h adds the local inverse only at sites slower than the
-reference medium's stiffest mode; M >= P, so M is SPD there by
-construction.  The iteration cap follows from c and tol alone.  Both
-problems are solved on the zero-mean subspace: P drops the zero mode, and
-the iterate, the residual and M's output are re-projected (mean
-subtracted) every iteration to cure kernel drift from rounding.  A
+diagonal in the Fourier basis, so P = (lam + a (-Delta))^+ is applied by
+one transform, a multiply by its symbol, and the inverse transform, and the
+iteration count does not grow with N.  There are two kernels for that
+transform, chosen by the torus side.  Above MATMUL_SIDE it is one FFT round
+trip.  Up to MATMUL_SIDE it is a dense matmul along each grid axis by a real
+orthonormal eigenbasis Q of the periodic 1D Laplacian: pocketfft pays per
+line, the lines of a small torus are short, and a BLAS product per member
+and axis is cheaper there (a quarter to a half of the round trip at d = 2
+and 3, MATMUL_SIDE's comment has the figures).  The two agree up to
+rounding, and both symbol layouts are built from one table of
+eigenvalues.  CG's preconditioner is M = P + diag(h), with the site field
+h = (1 / (lam + D) - 1 / (lam + 4 d a))_+ and D the diagonal of -L.  The
+Laplacian symbol is at most 4d, so 1 / (lam + 4 d a) is P's least
+eigenvalue on the zero-mean subspace, and h adds the local inverse only at
+sites slower than the reference medium's stiffest mode; M >= P, so M is
+SPD there by construction.  The iteration cap follows from c and tol
+alone.  Both problems are solved on the zero-mean subspace: P drops the
+zero mode, and the iterate, the residual and M's output are re-projected
+(mean subtracted) every iteration to cure kernel drift from rounding.  A
 constant right side k has the exact solution k / lam, and a mean within
 1e-12 ||g|| of zero is dropped.  The stop is on the true residual: ||g +
 L u - lam u|| <= tol ||g||.  It is formed anew wherever the updated
@@ -23,9 +31,10 @@ in units of 2^e <= max |g| < 2^(e+1), an exact division, so 2^k g is
 solved as exactly 2^k times g's solution at any k.
 
 There is one CG path, and it solves a stack of members, each a (field,
-right side) pair on one torus: the FFT runs over the trailing grid axes,
-and the step sizes, stop test, cap and re-projection are per member, so a
-member's solution and iteration count do not depend on its stack-mates.
+right side) pair on one torus: the transforms run over the trailing grid
+axes, one product or FFT line per member, and the step sizes, stop test,
+cap and re-projection are per member, so a member's solution and iteration
+count do not depend on its stack-mates.
 solve_poisson and solve_resolvent are stacks of one; solve_poisson_stream
 cuts a stream of Poisson members into stacks of at most STACK_SITES sites.
 The dense oracle assembles -L explicitly and inverts it off atom 0 of its
@@ -34,6 +43,7 @@ spectrum, the constants; it is meant for small tori only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,6 +61,14 @@ DENSE_GUARD = 4096
 # whatever the member count.  A torus of this many sites or more is solved
 # one field at a time.
 STACK_SITES = 2 ** 13
+# Largest torus side on which CG applies P by per-axis matmuls, not by FFT.
+# Best of 200 applies, FFT against matmuls, on a 2-CPU Xeon with BLAS at 1
+# thread: 183 against 43 us on a (128, 8, 8) stack, 92 against 43 on
+# (8, 32, 32), 437 against 236 on (1, 32, 32, 32), but 140 against 290 on
+# (1, 128, 128).  effective_matrix on one field (median of 7) gained at
+# side 16 and 32 (d = 2: 3.8 against 3.1 ms at side 32), broke even at
+# d = 2, side 64 (7.4 against 8.0 ms) and gained 5% at d = 3, side 48.
+MATMUL_SIDE = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -105,8 +123,27 @@ def _local_correction(xi: np.ndarray, lam: float, a: np.ndarray) -> np.ndarray:
     return np.maximum(h, 0.0, out=h).astype(np.float32)
 
 
-def _inverse_symbols(fields, lam: float, a=None) -> np.ndarray:
-    """(lam + a (-Delta))^+ of each field as an rfftn symbol, shape (B, *half grid).
+@functools.lru_cache(maxsize=MATMUL_SIDE)
+def _laplacian_basis(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, k): a real orthonormal eigenbasis Q of the periodic 1D Laplacian
+    on side points, and the frequency k[j] of column j, of eigenvalue
+    4 sin^2(pi k[j] / side).  The columns are the constant, then cos and
+    sin at each frequency 0 < k < side / 2, then the alternating vector at
+    side / 2 if side is even."""
+    x = np.arange(side)
+    k = (x + 1) // 2
+    # the exact residue k x mod side keeps the angle in [0, 2 pi)
+    angle = (2.0 * np.pi / side) * (np.outer(x, k) % side)
+    q = np.where(x % 2, np.cos(angle), np.sin(angle))
+    q[:, 0] = 1.0
+    q *= np.sqrt(np.where((k == 0) | (2 * k == side), 1.0, 2.0) / side)
+    q.flags.writeable = k.flags.writeable = False
+    return q, k
+
+
+def _inverse_symbols(fields, lam: float, a=None, real: bool = False) -> np.ndarray:
+    """(lam + a (-Delta))^+ of each field as an rfftn symbol, shape (B, *half
+    grid), or with real in the basis of _laplacian_basis, shape (B, *grid).
 
     a is each field's geometric-mean rate unless given (a = 1 and lam = 0
     give (-Delta)^+), -Delta the torus Laplacian, of symbol sum_i (2 - 2 cos
@@ -116,7 +153,8 @@ def _inverse_symbols(fields, lam: float, a=None) -> np.ndarray:
     side, d = geom.side, geom.dimension
     w = 4.0 * np.sin(np.pi * np.arange(side) / side) ** 2   # 2 - 2 cos k
     # rfftn keeps the nonnegative frequencies of the last axis only
-    laplacian = sum(np.ix_(*([w] * (d - 1) + [w[:side // 2 + 1]])))
+    laplacian = sum(np.ix_(*([w[_laplacian_basis(side)[1]]] * d if real else
+                             [w] * (d - 1) + [w[:side // 2 + 1]])))
     if a is None:
         a = _rate_scale(fields)
     sigma = lam + np.reshape(a, (-1,) + (1,) * d) * laplacian
@@ -135,6 +173,22 @@ def _precondition(r: np.ndarray, inv: np.ndarray, axes: tuple) -> np.ndarray:
     return np.fft.irfft(f, n=r.shape[axes[-1]], axis=axes[-1])
 
 
+def _precondition_real(r: np.ndarray, inv: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Apply a symbol inv in the basis q of _laplacian_basis to r, shape (B,
+    *grid): Q^T along every grid axis, the multiply, Q back.  Each product
+    is one member's slice times q, so a member's result does not depend on
+    the stack's width (one (B, n) @ q product at d = 1 would)."""
+    B, n, d = len(r), len(q), r.ndim - 1
+    y = r.reshape(B, -1, n) @ q
+    for j in range(1, d):   # the axis with n^j sites after it
+        y = q.T @ y.reshape(-1, n, n ** j)
+    y = y.reshape(r.shape)
+    y *= inv
+    for j in range(d - 1, 0, -1):
+        y = q @ y.reshape(-1, n, n ** j)
+    return (y.reshape(B, -1, n) @ q.T).reshape(r.shape)
+
+
 def _cg(fields, b: np.ndarray, lam: float, tol: float):
     """Preconditioned CG from zero for (lam - L_b) u_b = b[b], one member per field.
 
@@ -143,7 +197,8 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
     re-projection; dots and means reduce each member's row alone, so its
     iterates are those of a solve on its own.  The preconditioner is M = P +
     diag(h) of the module docstring, z = P r + h r re-projected to mean
-    zero, and h is sliced with P's symbol as members drop out.
+    zero, P by matmuls up to side MATMUL_SIDE and by FFT above it, and h is
+    sliced with P's symbol as members drop out.
     Where a member's updated residual meets tol, its true residual b / unit
     + L x - lam x is formed in r's buffer; the member is done if that meets
     tol too, else CG restarts from it (p = 0), and a check that does not
@@ -191,7 +246,9 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
     caps = np.array([_maxiter(f, tol) for f in fields], dtype=float)
     xi = stack_members([f.rates for f in fields], d)
     scale = _rate_scale(fields)
-    inv = _inverse_symbols(fields, lam, scale)
+    real = shape[0] <= MATMUL_SIDE
+    inv = _inverse_symbols(fields, lam, scale, real)
+    q = _laplacian_basis(shape[0])[0] if real else None
     local = _local_correction(xi, lam, scale)
     x, p, rz = np.zeros_like(r), np.zeros_like(r), np.ones(len(r))
     res = np.sqrt(dot(r, r))
@@ -240,7 +297,7 @@ def _cg(fields, b: np.ndarray, lam: float, tol: float):
                 a[~done] for a in (live, x, r, p, rz, res, normb, caps, inv,
                                    local, checked))
             xi = xi[:, ~done]
-        z = _precondition(r, inv, axes)
+        z = _precondition_real(r, inv, q) if real else _precondition(r, inv, axes)
         z += local * r
         center(z)
         rz_new = dot(r, z)

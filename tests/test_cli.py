@@ -117,6 +117,7 @@ def test_surface_tension_artifact(tmp_path):
     doc = json.loads(next((tmp_path / "out").glob("surface_tension_*.json")).read_text())
     assert abs(doc["sigma"] - 0.5) <= 1e-8
     assert doc["residual"] <= 1e-8
+    assert 0 <= doc["certificate"] <= 1e-8
 
 
 def test_hamming_artifact(tmp_path):

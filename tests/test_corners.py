@@ -11,7 +11,11 @@ spectral.n, walk.t and resolvent.lambdas from the least positive double to
 their largest, and a loose solver.tol through every subcommand.  The last
 axis walks cli.CONFIG_SCHEMA: every number and integer key, array items
 included, is set to 10^400 through every subcommand on d = 1, N = 1, and
-each corner exits 0, or exits 2 or 4 and writes nothing.  The tight-tol axis
+each corner exits 0, or exits 2 or 4 and writes nothing.  The minimum axis
+walks it too: every such key with a minimum is set to it, and every one with
+an exclusive minimum to the next double, through every subcommand on
+d in {1, 2, 3}, N = 1; each corner exits 0, or exits 2, 3 or 4 and writes
+nothing.  The tight-tol axis
 runs every subcommand that solves: at tol 1e-300 on two_point(1e-12, 1, 0.5)
 each exits 3 and writes nothing, and at tol 1e-16 on uniform[0.2, 5] each
 exits 0 or 3; a library solve at such a tol meets it in the true residual,
@@ -146,21 +150,23 @@ def test_parameter_corners_exit_0_or_are_refused(tmp_path):
 
 
 def numeric_keys(schema, path=()):
-    """(path, is an array) of every number and integer key of schema."""
+    """(path, is an array, the number's schema) of every number and integer
+    key of schema."""
     if schema.get("type") in ("number", "integer"):
-        return [(path, False)]
+        return [(path, False, schema)]
     if schema.get("items", {}).get("type") in ("number", "integer"):
-        return [(path, True)]
+        return [(path, True, schema["items"])]
     return [key for name, sub in schema.get("properties", {}).items()
             for key in numeric_keys(sub, path + (name,))]
 
 
-def huge_corners(config):
-    """(dotted key, config) with one number or integer set to 10^400: a
-    scalar key, or each item of an array key in turn ([10^400] if the base
-    config has none)."""
-    huge = 10 ** 400
-    for path, is_array in numeric_keys(CONFIG_SCHEMA):
+def edited_corners(config, value):
+    """(dotted key, config) with one number or integer set to value(its
+    schema), where that is not None: a scalar key, or each item of an array
+    key in turn ([value] if the base config has none)."""
+    for path, is_array, leaf in numeric_keys(CONFIG_SCHEMA):
+        if (new := value(leaf)) is None:
+            continue
         key = ".".join(path)
         parent = config
         for name in path[:-1]:
@@ -171,17 +177,27 @@ def huge_corners(config):
             node = edited
             for name in path[:-1]:
                 node = node.setdefault(name, {})
-            node[path[-1]] = (items[:i] + [huge] + items[i + 1:]) if is_array else huge
+            node[path[-1]] = (items[:i] + [new] + items[i + 1:]) if is_array else new
             yield f"{key}[{i}]" if is_array else key, edited
+
+
+def least_value(leaf):
+    """A number schema's least value: its minimum, or the next double above
+    its exclusive minimum; None if it has neither."""
+    if "minimum" in leaf:
+        return leaf["minimum"]
+    if "exclusiveMinimum" in leaf:
+        return math.nextafter(leaf["exclusiveMinimum"], math.inf)
+    return None
 
 
 def test_huge_integer_corners_exit_0_or_are_refused(tmp_path):
     # an integer beyond the double range in any number or integer key, array
     # items included, through every subcommand: run, or a config or guard
     # refusal with nothing written
-    corners = list(huge_corners(corner_config(1, 1)))
+    corners = list(edited_corners(corner_config(1, 1), lambda leaf: 10 ** 400))
     assert {key.split("[")[0] for key, _ in corners} == {
-        ".".join(path) for path, _ in numeric_keys(CONFIG_SCHEMA)}
+        ".".join(path) for path, _, _ in numeric_keys(CONFIG_SCHEMA)}
     failures = []
     start = time.perf_counter()
     for sub, (key, config) in itertools.product(SUBCOMMANDS, corners):
@@ -190,6 +206,27 @@ def test_huge_integer_corners_exit_0_or_are_refused(tmp_path):
     elapsed = time.perf_counter() - start
     assert not failures, failures
     count = len(SUBCOMMANDS) * len(corners)
+    assert elapsed < 3.0, f"{count} corners took {elapsed:.2f} s"
+
+
+def test_schema_minimum_corners_exit_typed(tmp_path):
+    # every number or integer key with a minimum at it, and with an
+    # exclusive minimum at the next double, through every subcommand on
+    # the side-2 tori; a corner runs, or exits 2, 3 or 4 and writes nothing
+    failures = []
+    count = 0
+    start = time.perf_counter()
+    for d in (1, 2, 3):
+        corners = list(edited_corners(corner_config(d, 1), least_value))
+        assert {key.split("[")[0] for key, _ in corners} == {
+            ".".join(path) for path, _, leaf in numeric_keys(CONFIG_SCHEMA)
+            if least_value(leaf) is not None}
+        for sub, (key, config) in itertools.product(SUBCOMMANDS, corners):
+            failures += run_corner(tmp_path, (sub, d, key), config, refusable=True,
+                                   refusals=(EXIT_CONFIG, EXIT_SOLVER, EXIT_GUARD))
+            count += 1
+    elapsed = time.perf_counter() - start
+    assert not failures, failures
     assert elapsed < 3.0, f"{count} corners took {elapsed:.2f} s"
 
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import time
 import tracemalloc
 import warnings
 
@@ -16,8 +18,8 @@ from homogenize.experiments import (MAX_RECORDS, CampaignConfig, TooManyBondsErr
                                     replica_seed,
                                     resolvent_convergence, run_campaign,
                                     surface_tension)
-from homogenize.operators import local_drift
-from homogenize.solver import ConvergenceError, solve_poisson
+from homogenize.operators import grad, local_drift, mean_rho
+from homogenize.solver import ConvergenceError, dense_solve, solve_poisson
 from homogenize.spectral import diffusivity_via_spectrum, spectral_measure
 from oracles import one_d_exact
 
@@ -367,25 +369,26 @@ def test_hamming_deltas_small_and_recorded():
 
 def test_surface_tension_constant_law():
     fld = sample_environment(DisorderLaw.constant(1.0), TorusGeometry(2, 2), 0)
-    sigma, quarter, gap = surface_tension(fld, [1.0, 0.0])
+    sigma, quarter, gap, _ = surface_tension(fld, [1.0, 0.0])
     assert abs(sigma - 0.5) <= 1e-8
     assert abs(quarter - 0.5) <= 1e-8
     assert gap <= 1e-8
 
 
 def test_surface_tension_two_site():
-    sigma, quarter, gap = surface_tension(TWO_SITE, [1.0])
+    sigma, quarter, gap, _ = surface_tension(TWO_SITE, [1.0])
     assert abs(sigma - 2 / 3) <= 1e-10
     assert gap <= 1e-10
 
 
 def test_surface_tension_quadratic_scaling():
     fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 2), 9)
-    s1, _, _ = surface_tension(fld, [1.0, 0.5])
-    s2, _, _ = surface_tension(fld, [2.0, 1.0])
+    s1 = surface_tension(fld, [1.0, 0.5])[0]
+    s2 = surface_tension(fld, [2.0, 1.0])[0]
     assert abs(s2 - 4 * s1) <= 1e-8
     # the descent runs in units of a power of two, so scaling v by 2^k
-    # scales sigma, the quarter form and their gap by 4^k bit for bit
+    # scales sigma, the quarter form, their gap and the certificate by 4^k
+    # bit for bit
     unscaled = surface_tension(fld, [1.0, 0.5])
     for k in (-500, -300, 1, 300):
         scaled = surface_tension(fld, np.ldexp([1.0, 0.5], k))
@@ -405,10 +408,41 @@ def test_surface_tension_budget_exhaustion():
         surface_tension(fld, [1.0, 0.0], max_steps=0)
     # tol is the descent's relative stopping rule, not only the quarter form's
     fld = sample_environment(DisorderLaw.uniform(0.5, 2.0), TorusGeometry(2, 4), 9)
-    loose, _, _ = surface_tension(fld, [1.0, 0.0], tol=1e-4)
-    tight, _, gap = surface_tension(fld, [1.0, 0.0], tol=1e-12)
+    loose = surface_tension(fld, [1.0, 0.0], tol=1e-4)[0]
+    tight, _, gap, _ = surface_tension(fld, [1.0, 0.0], tol=1e-12)
     assert loose != tight
     assert gap <= 1e-12
+
+
+def test_surface_tension_stops_a_stalled_descent():
+    # the relative gradient floors at 4.2e-16 here, above tol: the descent
+    # once ran all of its 100,000 steps (more than 3 s) into the error
+    fld = sample_environment(DisorderLaw.uniform(0.2, 5.0), TorusGeometry(1, 1), 1)
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="stalled") as info:
+        surface_tension(fld, [1.0], tol=4e-16)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"the stalled descent took {elapsed:.2f} s"
+    assert info.value.iterations <= 2 * experiments.STALL_STEPS
+    assert 4e-16 < info.value.residual < 1e-15
+
+
+@pytest.mark.parametrize("d,N", [(1, 8), (2, 4), (2, 8), (3, 2)])
+def test_surface_tension_certificate_bounds_the_quarter_form_error(d, N):
+    # a corrector's solve error only raises (v, D_N v), by at most its
+    # certificate; the dense oracle gives the exact quarter form.  v is off
+    # a power of two, so the unit's square enters the scaling
+    errors = []
+    for seed, tol, v in itertools.product(
+            (0, 1), (1e-4, 1e-6), (np.eye(d)[0], np.linspace(3.0, 0.5, d))):
+        fld = sample_environment(DisorderLaw.uniform(0.2, 5.0), TorusGeometry(d, N), seed)
+        _, quarter, _, certificate = surface_tension(fld, v, tol=tol)
+        w = v.reshape((d,) + (1,) * d) + grad(dense_solve(fld, local_drift(fld, v)))
+        exact = 0.5 * mean_rho(np.sum(fld.rates * w * w, axis=0), d)
+        assert -1e-14 * exact <= quarter - exact <= certificate, (seed, tol, v)
+        assert certificate <= 1e-3 * exact
+        errors.append(quarter - exact)
+    assert max(errors) > 0
 
 
 def test_surface_tension_refuses_bad_input_before_descending(monkeypatch):
@@ -456,7 +490,7 @@ def test_surface_tension_steps_flat_in_n():
     law = DisorderLaw.uniform(0.2, 5.0)
     for N in (4, 16, 64):
         fld = sample_environment(law, TorusGeometry(2, N), 5)
-        sigma, _, gap = surface_tension(fld, [1.0, 0.0], max_steps=80)
+        sigma, _, gap, _ = surface_tension(fld, [1.0, 0.0], max_steps=80)
         assert gap <= 1e-12 * sigma
 
 

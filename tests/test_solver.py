@@ -243,7 +243,8 @@ def _stack_instances(d, N, count, seed):
     return [f for f, _ in pairs], np.stack([g for _, g in pairs])
 
 
-@pytest.mark.parametrize("d,N", [(1, 4), (2, 2), (3, 1)])
+# side 32 is the largest torus whose P is applied by matmuls
+@pytest.mark.parametrize("d,N", [(1, 4), (2, 2), (3, 1), (2, 16)])
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_stacked_member_matches_solo_bit_for_bit(d, N, lam):
     from homogenize.solver import _cg
@@ -360,6 +361,63 @@ def test_precondition_is_the_rfftn_round_trip_bit_for_bit(d, N, M):
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert got.tobytes() == ref.tobytes()
         assert rhs.tobytes() == before.tobytes()
+
+
+def test_laplacian_basis_is_an_orthonormal_eigenbasis():
+    eps = np.finfo(float).eps
+    for side in range(1, 33):
+        q, k = solver._laplacian_basis(side)
+        assert np.abs(q.T @ q - np.eye(side)).max() <= 8 * eps, side
+        # -Delta Q = Q diag(4 sin^2(pi k / side)), the periodic stencil
+        lap = 2.0 * q - np.roll(q, 1, axis=0) - np.roll(q, -1, axis=0)
+        w = 4.0 * np.sin(np.pi * k / side) ** 2
+        assert np.abs(lap - q * w).max() <= 16 * eps, side
+        assert sorted(k) == sorted(np.minimum(np.arange(side), side - np.arange(side)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_matmul_kernel_is_the_rfftn_round_trip_up_to_rounding(d):
+    # every torus side from 2 to 32, the tori whose CG applies P by matmuls:
+    # 2d orthogonal transforms of n points each, so each member is within
+    # 2 d n eps max|inv| ||r|| of the FFT's result (measured: 0.6 of that)
+    from homogenize.solver import (_inverse_symbols, _laplacian_basis,
+                                   _precondition, _precondition_real)
+    eps = np.finfo(float).eps
+    axes = tuple(range(-d, 0))
+    for N, M in itertools.product(range(1, 17), (1, 5)):
+        fields, rhs = _stack_instances(d, N, M, 120)
+        before = rhs.copy()
+        q = _laplacian_basis(2 * N)[0]
+        for lam in (0.0, 0.5):
+            ref = _precondition(rhs, _inverse_symbols(fields, lam), axes)
+            inv = _inverse_symbols(fields, lam, real=True)
+            got = _precondition_real(rhs, inv, q)
+            assert got.shape == rhs.shape and got.dtype == rhs.dtype
+            for m in range(M):
+                bound = 2 * d * 2 * N * eps * np.abs(inv[m]).max() * np.linalg.norm(rhs[m])
+                assert np.linalg.norm(got[m] - ref[m]) <= bound, (N, M, lam, m)
+            assert rhs.tobytes() == before.tobytes()
+
+
+def test_cg_picks_the_kernel_by_side(monkeypatch):
+    # tori of side at most MATMUL_SIDE run the matmul kernel, larger ones the
+    # FFT: a solve succeeds with the other kernel refused, and fails with
+    # its own refused
+    def refuse(*args):
+        raise AssertionError("kernel refused")
+
+    N = solver.MATMUL_SIDE // 2   # side 32, the largest matmul torus
+    for name, other, N in (("_precondition_real", "_precondition", N),
+                           ("_precondition", "_precondition_real", N + 1)):
+        fld, g = random_instance(2, N, 140)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, other, refuse)
+            rep = solve_poisson(fld, g)
+            assert rep.iterations > 0
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, name, refuse)
+            with pytest.raises(AssertionError, match="kernel refused"):
+                solve_poisson(fld, g)
 
 
 def test_stream_rejects_nonzero_mean_member():
